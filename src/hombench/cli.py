@@ -8,7 +8,8 @@ run report plus plot-ready CSV into --out.
 
 Exit codes: 0 success, 1 validation error (bad flags, bad config, an
 infeasible calibration target), 2 runtime or statistics error (I/O,
-insufficient counts), 3 fit non-convergence.
+insufficient counts), 3 fit non-convergence or a failed fit precondition
+(too few points, no baseline leverage).
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ _OVERRIDE_FLAGS = (
     ("--gate-rate-hz", "gate_rate_hz"),
     ("--delay-ps", "delay_ps"),
 )
-_WIDTH_KEYS = ("sigma_ps", "fwhm_ps")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,24 +114,6 @@ def _pair_list(text: str) -> list[float]:
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    merged = configio.default_schema_dict()
-    config_path = getattr(args, "config", None)
-    if config_path is not None:
-        try:
-            raw = json.loads(Path(config_path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError([f"{config_path}: not valid JSON: {exc}"]) from exc
-        if not isinstance(raw, dict):
-            raise ConfigError([f"{config_path}: top level must be a JSON object"])
-        unknown = sorted(set(raw) - configio.SCHEMA_KEYS)
-        if unknown:
-            raise ConfigError(
-                [f"{config_path}: unknown config keys: {', '.join(unknown)}"]
-            )
-        if any(key in raw for key in _WIDTH_KEYS):
-            for key in _WIDTH_KEYS:
-                merged.pop(key, None)
-        merged.update(raw)
     overrides: dict[str, float] = {}
     for _, key in _OVERRIDE_FLAGS:
         value = getattr(args, key, None)
@@ -141,11 +123,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     if eta is not None:
         overrides.setdefault("eta_signal", eta)
         overrides.setdefault("eta_idler", eta)
-    if any(key in overrides for key in _WIDTH_KEYS):
-        for key in _WIDTH_KEYS:
-            merged.pop(key, None)
-    merged.update(overrides)
-    return configio.config_from_dict(merged)
+    return configio.load_config(getattr(args, "config", None), overrides)
 
 
 def _delay_grid(args: argparse.Namespace) -> list[float]:
@@ -355,10 +333,7 @@ def cmd_dip_scan(args: argparse.Namespace) -> int:
 
     if args.repeats == 1:
         scans = [
-            run_dip_scan(
-                config, delays, args.gates, args.seed,
-                sampler=args.sampler, batch_size=args.batch_size,
-            )
+            run_dip_scan(config, delays, args.gates, args.seed, sampler=args.sampler)
         ]
     else:
         scans = [
@@ -368,7 +343,6 @@ def cmd_dip_scan(args: argparse.Namespace) -> int:
                 args.gates,
                 np.random.SeedSequence(entropy=args.seed, spawn_key=(r,)),
                 sampler=args.sampler,
-                batch_size=args.batch_size,
             )
             for r in range(args.repeats)
         ]
@@ -540,7 +514,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     config = _build_config(args)
     points = reporting.read_points_csv(args.csv)
-    fit = fit_dip(points, config.splitter, fit_center=args.fit_center)
+    try:
+        fit = fit_dip(points, config.splitter, fit_center=args.fit_center)
+    except ValueError as exc:
+        print(f"fit failed: {exc}")
+        return EXIT_NO_CONVERGENCE
     for line in _fit_summary_lines(fit):
         print(line)
 
@@ -593,8 +571,6 @@ def _add_scan_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--delay-max", type=float, default=6.0, metavar="PS")
     parser.add_argument("--delay-steps", type=int, default=21, metavar="N")
     parser.add_argument("--sampler", choices=SAMPLERS, default="multinomial")
-    parser.add_argument("--batch-size", type=_count, default=1 << 20, metavar="N",
-                        help="gates per worker batch (per-gate sampler)")
 
 
 def build_parser() -> argparse.ArgumentParser:

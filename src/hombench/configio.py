@@ -1,10 +1,11 @@
-"""Load, validate, and write the flat JSON experiment-config schema.
+"""Load and validate the flat JSON experiment-config schema.
 
 The on-disk schema uses dB for the extinction ratio and the splitter arms
 (negative dB = loss) and accepts the wavepacket width as either `sigma_ps`
 or `fwhm_ps`, exactly one of the two. Everything is converted to linear
 units on load; `config_to_schema_dict` converts back, always emitting
-`sigma_ps`.
+`sigma_ps`. `load_config` is the one layered loader: reference defaults,
+then a (possibly partial) file, then overrides.
 
 `default_config` builds the calibrated reference instrument: the detection
 efficiency is solved at import-call time so the analytic visibility at the
@@ -182,20 +183,32 @@ def config_to_schema_dict(config: ExperimentConfig) -> dict[str, float]:
     }
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Read a schema JSON file. Malformed JSON or a non-object top level
-    raises ConfigError with the file named in the message."""
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"{path}: not valid JSON: {exc}"]) from exc
-    if not isinstance(raw, dict):
-        raise ConfigError([f"{path}: top level must be a JSON object"])
-    return config_from_dict(raw)
+def load_config(
+    path: str | Path | None = None, overrides: Mapping[str, Any] | None = None
+) -> ExperimentConfig:
+    """Layer the reference instrument, a schema JSON file, then overrides.
 
-
-def dump_config(config: ExperimentConfig, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(config_to_schema_dict(config), indent=2, sort_keys=True) + "\n"
-    )
+    Later layers win key by key, so the file may be partial; a layer that
+    names sigma_ps or fwhm_ps replaces both. Malformed JSON, a non-object
+    top level and unknown keys in the file raise ConfigError naming it.
+    """
+    merged: dict[str, Any] = default_schema_dict()
+    layers: list[Mapping[str, Any]] = []
+    if path is not None:
+        try:
+            raw = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError([f"{path}: not valid JSON: {exc}"]) from exc
+        if not isinstance(raw, dict):
+            raise ConfigError([f"{path}: top level must be a JSON object"])
+        unknown = sorted(set(raw) - SCHEMA_KEYS)
+        if unknown:
+            raise ConfigError([f"{path}: unknown config keys: {', '.join(unknown)}"])
+        layers.append(raw)
+    layers.append(overrides or {})
+    for layer in layers:
+        if any(key in layer for key in _WIDTH_KEYS):
+            for key in _WIDTH_KEYS:
+                merged.pop(key, None)
+        merged.update(layer)
+    return config_from_dict(merged)

@@ -1,10 +1,11 @@
 """Weighted nonlinear least squares for the coincidence-dip lineshape.
 
 A from-scratch Levenberg-Marquardt core (`levenberg_marquardt`) drives the
-dip fit (`fit_dip`). The damping schedule is the classic one: multiply the
-damping by 10 when a step is rejected, divide by 10 when accepted, with
-the Marquardt diagonal scaling. Parameter uncertainties come from the
-inverse of the weighted normal-equations matrix at the optimum.
+dip fit (`fit_dip`). The damping schedule is the classic one, fixed in
+module constants: multiply the damping by 10 when a step is rejected,
+divide by 10 when accepted, with the Marquardt diagonal scaling. Parameter
+uncertainties come from the inverse of the weighted normal-equations
+matrix at the optimum.
 
 The dip fit estimates (baseline, visibility, sigma); the splitter's T and
 R are instrument constants measured separately and are never fitted. An
@@ -26,23 +27,14 @@ if TYPE_CHECKING:  # import only for annotations; simulate imports this module
     from .simulate import ScanPoint
 
 
-@dataclass(frozen=True)
-class LMControls:
-    """Knobs of the Levenberg-Marquardt schedule.
-
-    Convergence is declared when an accepted step reduces the cost by less
-    than `relative_cost_tolerance` of its value, or moves the parameters
-    by less than `step_tolerance` (relative to their norm).
-    """
-
-    max_iterations: int = 200
-    relative_cost_tolerance: float = 1e-10
-    step_tolerance: float = 1e-12
-    initial_damping: float = 1e-3
-    damping_increase: float = 10.0
-    damping_decrease: float = 10.0
-    max_rejects_per_step: int = 50
-    finite_difference_step: float = 1e-6
+# Levenberg-Marquardt schedule. Convergence is declared when an accepted
+# step reduces the cost by less than _COST_RTOL of its value, or moves the
+# parameters by less than _STEP_RTOL (relative to their norm).
+_COST_RTOL = 1e-10
+_STEP_RTOL = 1e-12
+_INITIAL_DAMPING = 1e-3
+_DAMPING_FACTOR = 10.0
+_MAX_REJECTS_PER_STEP = 50
 
 
 @dataclass
@@ -98,7 +90,7 @@ def levenberg_marquardt(
     weights: np.ndarray,
     theta0: Sequence[float],
     jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-    controls: LMControls | None = None,
+    max_iterations: int = 200,
     project: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> LMResult:
     """Minimize sum(w * (y - model(x, theta))^2) over theta.
@@ -113,7 +105,6 @@ def levenberg_marquardt(
     so the damping schedule walks the step length down until the model is
     evaluable again.
     """
-    ctl = controls or LMControls()
     x = np.asarray(x)
     y = np.asarray(y, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -126,7 +117,7 @@ def levenberg_marquardt(
     def jac(th: np.ndarray) -> np.ndarray:
         if jacobian is not None:
             return np.asarray(jacobian(x, th), dtype=float)
-        return finite_difference_jacobian(model, x, th, ctl.finite_difference_step)
+        return finite_difference_jacobian(model, x, th)
 
     f = np.asarray(model(x, theta), dtype=float)
     if not np.all(np.isfinite(f)):
@@ -134,12 +125,12 @@ def levenberg_marquardt(
     r = y - f
     cost = float(w @ (r * r))
 
-    lam = ctl.initial_damping
+    lam = _INITIAL_DAMPING
     converged = False
     message = "maximum iterations reached"
     iterations = 0
 
-    for iterations in range(1, ctl.max_iterations + 1):
+    for iterations in range(1, max_iterations + 1):
         J = jac(theta)
         A = J.T @ (w[:, None] * J)
         g = J.T @ (w * r)
@@ -148,25 +139,25 @@ def levenberg_marquardt(
         diag[diag <= 0.0] = floor
 
         accepted = False
-        for _ in range(ctl.max_rejects_per_step):
+        for _ in range(_MAX_REJECTS_PER_STEP):
             try:
                 step = np.linalg.solve(A + lam * np.diag(diag), g)
             except np.linalg.LinAlgError:
-                lam *= ctl.damping_increase
+                lam *= _DAMPING_FACTOR
                 continue
             cand = theta + step
             if project is not None:
                 cand = project(cand)
             f_c = np.asarray(model(x, cand), dtype=float)
             if not np.all(np.isfinite(f_c)):
-                lam *= ctl.damping_increase
+                lam *= _DAMPING_FACTOR
                 continue
             r_c = y - f_c
             cost_c = float(w @ (r_c * r_c))
             if cost_c <= cost:
                 accepted = True
                 break
-            lam *= ctl.damping_increase
+            lam *= _DAMPING_FACTOR
         if not accepted:
             message = "damping schedule exhausted without an acceptable step"
             break
@@ -174,12 +165,12 @@ def levenberg_marquardt(
         moved = float(np.linalg.norm(cand - theta))
         rel_drop = (cost - cost_c) / cost if cost > 0.0 else 0.0
         theta, r, cost = cand, r_c, cost_c
-        lam = max(lam / ctl.damping_decrease, 1e-300)
-        if rel_drop < ctl.relative_cost_tolerance:
+        lam = max(lam / _DAMPING_FACTOR, 1e-300)
+        if rel_drop < _COST_RTOL:
             converged = True
             message = "relative cost decrease below tolerance"
             break
-        if moved < ctl.step_tolerance * (1.0 + float(np.linalg.norm(theta))):
+        if moved < _STEP_RTOL * (1.0 + float(np.linalg.norm(theta))):
             converged = True
             message = "step size below tolerance"
             break
@@ -300,7 +291,6 @@ def fit_dip(
     splitter: BeamSplitter,
     init: DipModelParams | None = None,
     fit_center: bool = False,
-    controls: LMControls | None = None,
 ) -> FitResult:
     """Fit (baseline, visibility, sigma) to scan counts.
 
@@ -362,7 +352,7 @@ def fit_dip(
         theta0.append(0.0)
     lm = levenberg_marquardt(
         model, delays, counts, weights, theta0,
-        jacobian=jacobian, controls=controls, project=project,
+        jacobian=jacobian, project=project,
     )
 
     b, v, s, c = to_external(lm.theta)

@@ -27,6 +27,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -48,6 +49,16 @@ SAMPLERS = ("multinomial", "per-gate")
 # Pattern vector order everywhere in this module: (no click, B only, A only,
 # both). Index arithmetic relies on it.
 _P00, _P01, _P10, _P11 = 0, 1, 2, 3
+
+# Click pattern of each pair arrangement without the coupler (CAR runs):
+# A reads arm s, B reads arm i, threshold detectors.
+_CAR_PATTERN = {"none": _P00, "single_i": _P01, "same_i": _P01,
+                "single_s": _P10, "same_s": _P10, "cross": _P11}
+
+# Gates per random-stream batch; each (point, batch) gets its own child
+# seed, so these fix the streams, not just the work split.
+_DIP_BATCH = 1 << 20
+_CAR_BATCH = 1 << 22
 
 
 class InsufficientStatisticsError(RuntimeError):
@@ -193,48 +204,56 @@ def _pair_click_dist(
     return tuple(_vec(fock.click_pattern_probs(state, u)))
 
 
-def _pair_pattern_probs(config: ExperimentConfig, kappa: float) -> np.ndarray:
-    """Marginal click-pattern distribution of a single generated pair.
+def _pair_arrangements(
+    leak: float, u_s: float, u_i: float
+) -> Iterator[tuple[float, str]]:
+    """One pair's crosstalk routing x per-photon survival.
 
-    Enumerates crosstalk routing (each photon swaps arms with probability
-    1/extinction_ratio), per-photon survival in the landed arm's channel
-    plus the coupler, and the exact interference of whatever survived.
+    Each photon swaps arms with probability `leak`, then survives with the
+    probability of the arm it landed in (u_s for arm s, u_i for arm i).
+    Yields (weight, arrangement) over the nonzero branches; arrangements
+    are the `_pair_click_dist` kinds plus "none" (nothing survived).
     """
-    xi = config.source.extinction_ratio
-    leak = 1.0 / xi
-    surv = config.splitter.survival
-    u_by_port = {
-        "s": config.channel_s.transmittance * surv,
-        "i": config.channel_i.transmittance * surv,
-    }
-    t_eff, r_eff = config.splitter.effective_t, config.splitter.effective_r
-
-    pi = np.zeros(4)
+    u_by_port = {"s": u_s, "i": u_i}
     for leak_s, leak_i in ((0, 0), (0, 1), (1, 0), (1, 1)):
         w = (leak if leak_s else 1.0 - leak) * (leak if leak_i else 1.0 - leak)
         port_s = "i" if leak_s else "s"  # arm the signal photon lands in
         port_i = "s" if leak_i else "i"
-        u_a, u_b = u_by_port[port_s], u_by_port[port_i]
+        u_sig, u_idl = u_by_port[port_s], u_by_port[port_i]
         for surv_s in (0, 1):
             for surv_i in (0, 1):
-                ws = w * (u_a if surv_s else 1.0 - u_a) * (
-                    u_b if surv_i else 1.0 - u_b
+                ws = w * (u_sig if surv_s else 1.0 - u_sig) * (
+                    u_idl if surv_i else 1.0 - u_idl
                 )
                 if ws == 0.0:
                     continue
                 if surv_s and surv_i:
-                    if port_s == port_i:
-                        kind = "same_s" if port_s == "s" else "same_i"
-                    else:
-                        kind = "cross"
-                elif surv_s:
-                    kind = "single_s" if port_s == "s" else "single_i"
-                elif surv_i:
-                    kind = "single_s" if port_i == "s" else "single_i"
+                    kind = "cross" if port_s != port_i else f"same_{port_s}"
+                elif surv_s or surv_i:
+                    kind = f"single_{port_s if surv_s else port_i}"
                 else:
-                    pi[_P00] += ws
-                    continue
-                pi += ws * np.array(_pair_click_dist(kind, kappa, t_eff, r_eff))
+                    kind = "none"
+                yield ws, kind
+
+
+def _pair_pattern_probs(config: ExperimentConfig, kappa: float) -> np.ndarray:
+    """Marginal click-pattern distribution of a single generated pair.
+
+    Routing and survival (channel plus coupler) from `_pair_arrangements`,
+    then the exact interference of whatever survived.
+    """
+    surv = config.splitter.survival
+    t_eff, r_eff = config.splitter.effective_t, config.splitter.effective_r
+    pi = np.zeros(4)
+    for weight, kind in _pair_arrangements(
+        1.0 / config.source.extinction_ratio,
+        config.channel_s.transmittance * surv,
+        config.channel_i.transmittance * surv,
+    ):
+        if kind == "none":
+            pi[_P00] += weight
+        else:
+            pi += weight * np.array(_pair_click_dist(kind, kappa, t_eff, r_eff))
     return pi
 
 
@@ -376,7 +395,6 @@ def run_dip_scan(
     gates_per_point: int,
     seed: int | np.random.SeedSequence,
     sampler: str = "multinomial",
-    batch_size: int = 1 << 20,
 ) -> list[ScanPoint]:
     """Coincidence scan over delay settings.
 
@@ -424,7 +442,7 @@ def run_dip_scan(
         start = 0
         batch = 0
         while start < gates_per_point:
-            size = min(batch_size, gates_per_point - start)
+            size = min(_DIP_BATCH, gates_per_point - start)
             tasks.append((i, batch, size, cum))
             start += size
             batch += 1
@@ -467,36 +485,22 @@ def _car_pattern_distribution(config: ExperimentConfig) -> np.ndarray:
 
     * detector A sees the signal channel and detector B the idler channel,
       with only the channel efficiencies applied (crosstalk still swaps
-      photons between the channels);
+      photons between the channels), so each arrangement of
+      `_pair_arrangements` fixes the click pattern;
     * the dark probability for one slot is the configured per-gate value
       divided by the gate divider: the same dark rate, resolved in a
       pulse-period window instead of a whole gate.
     """
-    leak = 1.0 / config.source.extinction_ratio
-    eta_s = config.channel_s.transmittance
-    eta_i = config.channel_i.transmittance
     divider = config.timing.gate_divider
     dark_a = config.detector_a.dark_prob_per_gate / divider
     dark_b = config.detector_b.dark_prob_per_gate / divider
-
     pi = np.zeros(4)
-    for leak_s, leak_i in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        w = (leak if leak_s else 1.0 - leak) * (leak if leak_i else 1.0 - leak)
-        # Channel each photon lands in: A reads the signal channel.
-        s_in_a = not leak_s
-        i_in_a = bool(leak_i)
-        miss_a = (1.0 - eta_s if s_in_a else 1.0) * (1.0 - eta_s if i_in_a else 1.0)
-        miss_b = (1.0 - eta_i if not s_in_a else 1.0) * (
-            1.0 - eta_i if not i_in_a else 1.0
-        )
-        pi += w * np.array(
-            [
-                miss_a * miss_b,
-                miss_a * (1.0 - miss_b),
-                (1.0 - miss_a) * miss_b,
-                (1.0 - miss_a) * (1.0 - miss_b),
-            ]
-        )
+    for weight, kind in _pair_arrangements(
+        1.0 / config.source.extinction_ratio,
+        config.channel_s.transmittance,
+        config.channel_i.transmittance,
+    ):
+        pi[_CAR_PATTERN[kind]] += weight
     pair_count_pmf = folded_poisson(
         config.source.mean_pairs_per_pulse, config.source.max_pairs
     )
@@ -525,7 +529,6 @@ def run_car(
     gates: int,
     n_offset_slots: int = 10,
     seed: int | np.random.SeedSequence = 0,
-    batch_size: int = 1 << 22,
 ) -> CarResult:
     """Coincidence-to-accidental ratio from a matched/offset slot histogram.
 
@@ -562,10 +565,8 @@ def run_car(
     q_b = pmf[_P01] + pmf[_P11]
     offsets = np.arange(1, n_offset_slots + 1)
     expected_acc = float(q_a * q_b * (gates * n_offset_slots - offsets.sum()))
+    needed = math.ceil(100.0 / max(q_a * q_b * n_offset_slots, 1e-300)) + n_offset_slots
     if expected_acc < 100.0:
-        needed = math.ceil(100.0 / max(q_a * q_b * n_offset_slots, 1e-300)) + (
-            n_offset_slots
-        )
         raise InsufficientStatisticsError(
             f"expected {expected_acc:.1f} accidental coincidences over "
             f"{gates} gates; at least 100 are needed (about {needed} gates)",
@@ -581,7 +582,7 @@ def run_car(
     start = 0
     batch = 0
     while start < gates:
-        size = min(batch_size, gates - start)
+        size = min(_CAR_BATCH, gates - start)
         rng = _rng(_child(base, batch))
         c = rng.multinomial(size, pmf)
         clicking = int(c[_P01] + c[_P10] + c[_P11])
@@ -606,9 +607,6 @@ def run_car(
         )
     total_unmatched = sum(unmatched)
     if total_unmatched == 0:
-        needed = math.ceil(100.0 / max(q_a * q_b * n_offset_slots, 1e-300)) + (
-            n_offset_slots
-        )
         raise InsufficientStatisticsError(
             f"no accidental coincidences in {gates} gates; "
             f"about {needed} gates are needed",

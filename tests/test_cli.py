@@ -108,6 +108,7 @@ class TestConfigHandling:
         assert proc.returncode == 1
         assert "config error" in proc.stderr
         assert "bogus" in proc.stderr
+        assert "bad.json" in proc.stderr
 
     def test_malformed_json_is_a_config_error(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -233,6 +234,19 @@ class TestFitSubcommand:
         lines = (fit_out / "fit.csv").read_text().splitlines()
         assert lines[0] == "parameter,estimate,std_error"
         assert any(line.startswith("visibility,") for line in lines)
+
+    def test_failed_precondition_exits_like_dip_scan(self, tmp_path):
+        # The unfittable default scan: dip-scan exits 3 with the reason,
+        # and refitting its CSV must fail the same way.
+        scan_out = tmp_path / "scan"
+        proc = run_cli(
+            "dip-scan", "--gates", "100", "--seed", "1", "--out", str(scan_out)
+        )
+        assert proc.returncode == 3
+        reason = read_json(scan_out / "report.json")["data"]["fit_error"]
+        proc = run_cli("fit", str(scan_out / "points.csv"))
+        assert proc.returncode == 3
+        assert f"fit failed: {reason}" in proc.stdout
 
     def test_rejects_malformed_csv(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -9,7 +9,6 @@ from scipy.optimize import curve_fit
 from hombench import (
     BeamSplitter,
     DipModelParams,
-    LMControls,
     ScanPoint,
     dip_model,
     finite_difference_jacobian,
@@ -87,7 +86,7 @@ class TestLevenbergMarquardt:
 
         result = levenberg_marquardt(
             model, x, y, np.ones(2), np.array([-1.2, 1.0]),
-            controls=LMControls(max_iterations=500),
+            max_iterations=500,
         )
         assert result.converged
         np.testing.assert_allclose(result.theta, [1.0, 1.0], atol=1e-8)

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hombench import (
     ConfigError,
@@ -20,6 +22,7 @@ from hombench import (
     thread_cap,
     visibility_prediction,
 )
+from hombench.simulate import _car_pattern_distribution, _pair_arrangements
 
 # Pattern vector order: (no click, B only, A only, both).
 FROZEN_DEFAULT_PMF = [
@@ -27,6 +30,21 @@ FROZEN_DEFAULT_PMF = [
     0.00043699678351516447,
     0.00022662159694286643,
     1.0011390949582477e-07,
+]
+
+# CAR per-slot pmf, delay parked at 10 sigma: reference instrument, then
+# the bright corner p = 2, eta = 1.
+FROZEN_CAR_PMF = [
+    0.9997178352120629,
+    0.00014604772627968554,
+    0.00013552910100977922,
+    5.879606476133503e-07,
+]
+FROZEN_BRIGHT_CAR_PMF = [
+    0.13533238707330156,
+    0.00027282881468099207,
+    0.0002714022400492899,
+    0.8641233818719681,
 ]
 
 
@@ -93,6 +111,20 @@ class TestGatePatternDistribution:
         bad = replace(default_cfg, delay_ps=math.nan)
         with pytest.raises(ConfigError):
             gate_pattern_distribution(bad)
+
+
+@given(
+    leak=st.floats(0.0, 0.5),
+    u_s=st.floats(0.0, 1.0),
+    u_i=st.floats(0.0, 1.0),
+)
+def test_pair_arrangements_are_a_distribution(leak, u_s, u_i):
+    branches = list(_pair_arrangements(leak, u_s, u_i))
+    assert sum(weight for weight, _ in branches) == pytest.approx(1.0, abs=1e-12)
+    assert all(weight > 0.0 for weight, _ in branches)
+    assert {kind for _, kind in branches} <= {
+        "none", "single_s", "single_i", "same_s", "same_i", "cross"
+    }
 
 
 def test_simulate_gate_tracks_exact_pmf(symmetric_cfg):
@@ -177,6 +209,21 @@ class TestRunDipScan:
 
 
 class TestRunCar:
+    def test_frozen_pattern_distribution(self, default_cfg):
+        parked = replace(default_cfg, delay_ps=10.0 * default_cfg.wavepacket.sigma_ps)
+        bright = replace(
+            parked,
+            source=replace(parked.source, mean_pairs_per_pulse=2.0),
+            channel_s=replace(parked.channel_s, transmittance=1.0),
+            channel_i=replace(parked.channel_i, transmittance=1.0),
+        )
+        np.testing.assert_allclose(
+            _car_pattern_distribution(parked), FROZEN_CAR_PMF, rtol=1e-10
+        )
+        np.testing.assert_allclose(
+            _car_pattern_distribution(bright), FROZEN_BRIGHT_CAR_PMF, rtol=1e-10
+        )
+
     def test_requires_off_dip_delay(self, symmetric_cfg):
         cfg = symmetric_cfg(0.03, 0.1, 1e-4)  # delay 0: on the dip
         with pytest.raises(ValueError, match="off the dip"):
