@@ -146,6 +146,19 @@ def _transition_amplitude(u: np.ndarray, out: Occupation, inp: Occupation) -> co
     return permanent(sub) / norm
 
 
+@lru_cache(maxsize=1024)
+def _amplitude_column(u_bytes: bytes, inp: Occupation) -> tuple[complex, ...]:
+    """<out|U|inp> for every `out` of `_output_occupations(sum(inp))`, in order.
+
+    Keyed on the unitary's bytes, never on the array object, so an array
+    mutated in place after a call cannot be served a stale column.
+    """
+    u = np.frombuffer(u_bytes, dtype=complex).reshape(N_MODES, N_MODES)
+    return tuple(
+        _transition_amplitude(u, out, inp) for out in _output_occupations(sum(inp))
+    )
+
+
 def evolve_fock(
     state: State | Occupation, unitary: np.ndarray, max_total: int = 4
 ) -> dict[Occupation, float]:
@@ -155,6 +168,14 @@ def evolve_fock(
     complex amplitude; all components must share one total photon number
     (lossless evolution conserves it). Returns every output occupation of
     that total with its probability; the probabilities sum to 1.
+
+    The permanents depend only on the unitary and the input occupation,
+    not on the state's amplitudes, so they are cached on (unitary contents,
+    input occupation). Re-evolving a superposition such as
+    `temporal_decompose(kappa, 1, 1)` at a new kappa through a known
+    splitter costs a few multiply-adds per output. The cache keeps the
+    1024 most recently used columns, so a process that evolves through
+    ever new unitaries holds bounded memory.
     """
     u = _check_unitary(unitary)
     amplitudes = _as_state(state)
@@ -167,11 +188,13 @@ def evolve_fock(
     for occ in amplitudes:
         _check_occupation(occ, max_total)
 
+    u_bytes = u.tobytes()
+    columns = [(a, _amplitude_column(u_bytes, inp)) for inp, a in amplitudes.items()]
     result: dict[Occupation, float] = {}
-    for out in _output_occupations(total):
+    for k, out in enumerate(_output_occupations(total)):
         amp = 0.0 + 0.0j
-        for inp, a in amplitudes.items():
-            amp += a * _transition_amplitude(u, out, inp)
+        for a, column in columns:
+            amp += a * column[k]
         result[out] = float(abs(amp) ** 2)
     return result
 

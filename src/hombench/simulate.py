@@ -13,6 +13,11 @@ independent per-pair click draws. The per-pair click distributions are
 exact oracle outputs, which makes the comparison against the closed-form
 visibility budget a real cross-check rather than a restatement.
 
+Those per-pair distributions are cached by what they depend on: the
+"cross" arrangement on (overlap, splitter), the four others on the
+splitter alone (see `_pair_click_dist`). The oracle work of a scan grows
+with the number of distinct overlaps it visits, not with delays x rows.
+
 Determinism contract: every public run takes a seed, derives one child
 generator per (point, batch) through named SeedSequence spawn keys, and
 merges batch counts by commutative addition. Results are bit-for-bit
@@ -177,7 +182,6 @@ def _vec(pattern: dict[tuple[bool, bool], float]) -> np.ndarray:
     )
 
 
-@lru_cache(maxsize=1024)
 def _pair_click_dist(
     kind: str, kappa: float, t_eff: float, r_eff: float
 ) -> tuple[float, float, float, float]:
@@ -187,7 +191,24 @@ def _pair_click_dist(
     "same_i" (both photons in one arm after a crosstalk event), "single_s"
     / "single_i" (lone survivor). All probabilities come from the exact
     oracle.
+
+    Only "cross" depends on kappa, so only "cross" is cached on (kappa,
+    t_eff, r_eff); the other four are cached on the splitter alone. A scan
+    therefore evaluates the oracle once per distinct overlap plus four
+    times per splitter, however many delays or pair rates it visits. The
+    cache keeps the 1024 most recently used entries, so a long-lived
+    process that visits ever new overlaps holds bounded memory; a miss
+    is cheap because `fock.evolve_fock` caches the permanents underneath.
     """
+    return _arrangement_click_dist(
+        kind, kappa if kind == "cross" else 0.0, t_eff, r_eff
+    )
+
+
+@lru_cache(maxsize=1024)
+def _arrangement_click_dist(
+    kind: str, kappa: float, t_eff: float, r_eff: float
+) -> tuple[float, float, float, float]:
     u = fock.splitter_unitary(t_eff, r_eff)
     if kind == "cross":
         state: fock.State | fock.Occupation = fock.temporal_decompose(kappa, 1, 1)
@@ -292,11 +313,14 @@ def gate_pattern_distribution(
 
     This is the distribution the per-gate sampler draws from implicitly
     and the multinomial sampler draws from directly; unit tests hold the
-    empirical gate simulation to it.
+    empirical gate simulation to it. A given `kappa` overrides the overlap
+    implied by the configured delay and must lie in [0, 1].
     """
     validate(config)
     if kappa is None:
         kappa = amplitude_overlap(config.delay_ps, config.wavepacket.sigma_ps)
+    elif not 0.0 <= kappa <= 1.0:
+        raise ValueError(f"kappa must be in [0, 1] (got {kappa!r})")
     pair_probs = _pair_pattern_probs(config, kappa)
     pair_count_pmf = folded_poisson(
         config.source.mean_pairs_per_pulse, config.source.max_pairs

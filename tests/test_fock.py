@@ -17,6 +17,7 @@ from hombench import (
     splitter_unitary,
     temporal_decompose,
 )
+from hombench import fock
 
 U_BALANCED = splitter_unitary(0.5, 0.5)
 
@@ -192,6 +193,38 @@ class TestDualEngines:
             out_b = evolve_fock_ladder(state, U_BALANCED)
             for k in set(out_a) | set(out_b):
                 assert out_a.get(k, 0.0) == pytest.approx(out_b.get(k, 0.0), abs=1e-12)
+
+
+class TestAmplitudeCache:
+    """The permanent path caches amplitudes on the unitary's contents."""
+
+    def test_cached_path_equals_direct_recomputation(self):
+        u_random = random_unitary(np.random.default_rng(11))
+        for u in (U_BALANCED, splitter_unitary(0.3, 0.7), u_random):
+            for state in (temporal_decompose(0.37, 1, 1),
+                          temporal_decompose(0.8, 2, 1), (1, 1, 0, 0)):
+                amplitudes = fock._as_state(state)
+                total = sum(next(iter(amplitudes)))
+                direct = {}
+                for out in fock._output_occupations(total):
+                    amp = 0.0 + 0.0j
+                    for inp, a in amplitudes.items():
+                        amp += a * fock._transition_amplitude(u, out, inp)
+                    direct[out] = float(abs(amp) ** 2)
+                fock._amplitude_column.cache_clear()
+                assert evolve_fock(state, u) == direct  # cold
+                assert evolve_fock(state, u) == direct  # warm
+
+    def test_in_place_mutation_is_never_served_stale(self):
+        u = splitter_unitary(0.5, 0.5)
+        before = click_pattern_probs((1, 0, 1, 0), u)
+        u[:] = splitter_unitary(0.9, 0.1)
+        after = click_pattern_probs((1, 0, 1, 0), u)
+        assert before[(True, True)] == pytest.approx(0.0, abs=1e-12)
+        assert after[(True, True)] == pytest.approx(0.64, abs=1e-12)  # (T - R)^2
+        permanents = evolve_fock((1, 0, 1, 0), u)
+        for occ, prob in evolve_fock_ladder((1, 0, 1, 0), u).items():
+            assert permanents[occ] == pytest.approx(prob, abs=1e-12)
 
 
 def test_clicks_from_occupation():

@@ -1,6 +1,7 @@
 """Monte Carlo engine: samplers, determinism, and oracle agreement."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from hombench import (
     ConfigError,
     InsufficientStatisticsError,
+    amplitude_overlap,
     budget_from_config,
     folded_poisson,
     gate_pattern_distribution,
@@ -22,6 +24,7 @@ from hombench import (
     thread_cap,
     visibility_prediction,
 )
+from hombench import fock, simulate
 from hombench.simulate import _car_pattern_distribution, _pair_arrangements
 
 # Pattern vector order: (no click, B only, A only, both).
@@ -111,6 +114,62 @@ class TestGatePatternDistribution:
         bad = replace(default_cfg, delay_ps=math.nan)
         with pytest.raises(ConfigError):
             gate_pattern_distribution(bad)
+
+    @pytest.mark.parametrize("kappa", [-0.1, 1.5, math.nan])
+    @pytest.mark.parametrize("eta", [0.2, 0.0])
+    def test_kappa_override_out_of_range_rejected(self, symmetric_cfg, eta, kappa):
+        # eta = 0 loses every photon, so no "cross" arrangement ever reaches
+        # the oracle: the check must not depend on the routing.
+        with pytest.raises(ValueError, match=re.escape(repr(kappa))):
+            gate_pattern_distribution(symmetric_cfg(0.03, eta, 1e-4), kappa=kappa)
+
+
+def _clear_pmf_caches() -> None:
+    simulate._arrangement_click_dist.cache_clear()
+    fock._amplitude_column.cache_clear()
+
+
+class TestPmfCaches:
+    def test_oracle_runs_once_per_distinct_overlap(self, symmetric_cfg, monkeypatch):
+        _clear_pmf_caches()
+        calls = []
+        calls_before_row = []
+        oracle, scan = fock.click_pattern_probs, simulate.run_dip_scan
+
+        def counted_oracle(*args, **kwargs):
+            calls.append(args)
+            return oracle(*args, **kwargs)
+
+        def marked_scan(*args, **kwargs):
+            calls_before_row.append(len(calls))
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(fock, "click_pattern_probs", counted_oracle)
+        monkeypatch.setattr(simulate, "run_dip_scan", marked_scan)
+        cfg = symmetric_cfg(0.03, 0.2, 1e-4)
+        delays = np.linspace(-6.0, 6.0, 21).tolist()
+        run_visibility_sweep(cfg, [0.02, 0.05], 200_000, seed=6, delays=delays)
+        sigma = cfg.wavepacket.sigma_ps
+        distinct_kappas = {amplitude_overlap(d, sigma) for d in delays}
+        assert len(calls_before_row) == 2
+        assert len(calls) <= 4 + len(distinct_kappas)
+        assert len(calls) == calls_before_row[1]  # the second row is all hits
+
+    def test_cold_and_warm_builds_are_bit_identical(self, symmetric_cfg):
+        sigma = symmetric_cfg(0.03, 0.2, 1e-4).wavepacket.sigma_ps
+        delays = [0.0, 1.3, 4.0, 60.0 * sigma]
+        assert amplitude_overlap(delays[0], sigma) == 1.0
+        assert amplitude_overlap(delays[-1], sigma) == 0.0
+        grid = [
+            symmetric_cfg(p, eta, 1e-4, delay_ps=d)
+            for p in (0.01, 0.3) for eta in (0.05, 1.0) for d in delays
+        ]
+        cold = []
+        for cfg in grid:
+            _clear_pmf_caches()
+            cold.append(gate_pattern_distribution(cfg).tobytes())
+        warm = [gate_pattern_distribution(cfg).tobytes() for cfg in reversed(grid)]
+        assert warm[::-1] == cold
 
 
 @given(
