@@ -1,17 +1,20 @@
 """Closed-form predictions for the two-photon interference benchmark.
 
-Everything here is a pure function of scalar inputs: the Gaussian
-indistinguishability factor, the coincidence-dip lineshape, the visibility
-noise budget, and an analytic coincidence-to-accidental ratio (CAR) model
-with its inverse. The Monte Carlo engine in `simulate` must agree with
-these formulas; the agreement tests are the core physics check of the
-package.
+Everything here is a pure function without random draws: the Gaussian
+indistinguishability factor, the coincidence-dip lineshape (vectorised
+over delays, as the fitter evaluates it), the visibility noise budget,
+and an analytic coincidence-to-accidental ratio (CAR) model with its
+inverse, plus the reductions of an `ExperimentConfig` to their inputs.
+The Monte Carlo engine in `simulate` must agree with these formulas; the
+agreement tests are the core physics check of the package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .model import BeamSplitter, ExperimentConfig
 
@@ -88,6 +91,23 @@ def splitter_dip_factor(splitter: BeamSplitter) -> float:
     return 2.0 * t * r / denom
 
 
+def dip_curve(
+    delays: np.ndarray,
+    baseline: float,
+    visibility: float,
+    sigma: float,
+    factor: float,
+    center: float = 0.0,
+) -> np.ndarray:
+    """`dip_model`'s lineshape over an array of delays.
+
+    `factor` is `splitter_dip_factor` of the splitter; the fitter evaluates
+    this on every trial step.
+    """
+    d = (delays - center) / sigma
+    return baseline * (1.0 - factor * visibility * np.exp(-0.5 * d * d))
+
+
 def dip_model(delta_tau_ps: float, params: DipModelParams) -> float:
     """Expected coincidence level at a given relative delay.
 
@@ -97,8 +117,9 @@ def dip_model(delta_tau_ps: float, params: DipModelParams) -> float:
     two wavepackets stop overlapping.
     """
     factor = splitter_dip_factor(params.splitter)
-    overlap = indistinguishability(delta_tau_ps, params.sigma_ps)
-    return params.baseline * (1.0 - factor * params.visibility * overlap)
+    return float(dip_curve(
+        delta_tau_ps, params.baseline, params.visibility, params.sigma_ps, factor
+    ))
 
 
 @dataclass(frozen=True)
@@ -309,4 +330,20 @@ def budget_from_config(config: ExperimentConfig) -> VisibilityBudget:
         efficiency=eta,
         dark_prob=dark,
         extinction_ratio=config.source.extinction_ratio,
+    )
+
+
+def car_terms(config: ExperimentConfig) -> tuple[float, float, float, float, float]:
+    """Per-slot CAR inputs (p, eta_s, eta_i, dark_a, dark_b) of a config.
+
+    In `car_prediction`'s argument order. The dark probabilities are per
+    pulse slot: the per-gate values divided by the gate divider.
+    """
+    divider = config.timing.gate_divider
+    return (
+        config.source.mean_pairs_per_pulse,
+        config.channel_s.transmittance,
+        config.channel_i.transmittance,
+        config.detector_a.dark_prob_per_gate / divider,
+        config.detector_b.dark_prob_per_gate / divider,
     )

@@ -9,7 +9,8 @@ run report plus plot-ready CSV into --out.
 Exit codes: 0 success, 1 validation error (bad flags, bad config, an
 infeasible calibration target), 2 runtime or statistics error (I/O,
 insufficient counts), 3 fit non-convergence or a failed fit precondition
-(too few points, no baseline leverage).
+(too few points, no baseline leverage); `fit` also exits 3 on a
+degenerate fit.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .analytics import (
     budget_from_config,
     calibrate_eta,
     car_prediction,
+    car_terms,
     indistinguishability,
     splitter_dip_factor,
     visibility_prediction,
@@ -168,36 +170,28 @@ def _emit(
 
 
 def _fit_summary_lines(fit: FitResult) -> list[str]:
-    lines = [
-        f"baseline    {fit.params.baseline:.3f} +/- {fit.std_errors[0]:.3f}",
-        f"visibility  {fit.params.visibility:.4f} +/- {fit.std_errors[1]:.4f}",
-        f"sigma_ps    {fit.params.sigma_ps:.4f} +/- {fit.std_errors[2]:.4f}",
-    ]
-    if fit.center_ps is not None:
-        lines.append(f"center_ps   {fit.center_ps:.4f} +/- {fit.std_errors[3]:.4f}")
+    lines = []
+    for name, est, err in fit.parameters:
+        digits = 3 if name == "baseline" else 4
+        lines.append(f"{name:<12}{est:.{digits}f} +/- {err:.{digits}f}")
     lines.append(
         f"chi2/dof    {fit.chi_squared:.2f}/{fit.dof}"
         f"   converged={fit.converged} iterations={fit.iterations}"
     )
+    if fit.degenerate:
+        lines.append(f"degenerate  {fit.message}")
     return lines
 
 
 def _analytic_block(config: ExperimentConfig) -> dict[str, Any]:
     budget = budget_from_config(config)
-    divider = config.timing.gate_divider
     block: dict[str, Any] = {
         "visibility_budget": visibility_prediction(budget),
         "dip_factor": splitter_dip_factor(config.splitter),
         "sigma_ps": config.wavepacket.sigma_ps,
     }
     try:
-        block["car"] = car_prediction(
-            config.source.mean_pairs_per_pulse,
-            config.channel_s.transmittance,
-            config.channel_i.transmittance,
-            config.detector_a.dark_prob_per_gate / divider,
-            config.detector_b.dark_prob_per_gate / divider,
-        )
+        block["car"] = car_prediction(*car_terms(config))
     except NoAccidentalsError:
         block["car"] = None
         block["car_note"] = "no accidentals"
@@ -251,7 +245,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         analytic=analytic,
         wall_seconds=round(time.perf_counter() - t0, 3),
     )
-    _emit(args, report, {"predict.csv": reporting.two_column_csv(
+    _emit(args, report, {"predict.csv": reporting.table_csv(
         ("quantity", "value"), rows
     )})
     return EXIT_OK
@@ -332,20 +326,16 @@ def cmd_dip_scan(args: argparse.Namespace) -> int:
         raise ValueError(f"--repeats must be >= 1 (got {args.repeats})")
 
     if args.repeats == 1:
-        scans = [
-            run_dip_scan(config, delays, args.gates, args.seed, sampler=args.sampler)
-        ]
+        seeds = [args.seed]
     else:
-        scans = [
-            run_dip_scan(
-                config,
-                delays,
-                args.gates,
-                np.random.SeedSequence(entropy=args.seed, spawn_key=(r,)),
-                sampler=args.sampler,
-            )
+        seeds = [
+            np.random.SeedSequence(entropy=args.seed, spawn_key=(r,))
             for r in range(args.repeats)
         ]
+    scans = [
+        run_dip_scan(config, delays, args.gates, seed, sampler=args.sampler)
+        for seed in seeds
+    ]
     points, stats = _aggregate_repeats(scans)
 
     fit: FitResult | None = None
@@ -414,9 +404,9 @@ def cmd_visibility_sweep(args: argparse.Namespace) -> int:
             entry.update(
                 converged=row.fit.converged,
                 visibility_fit=row.fit.params.visibility,
-                visibility_err=float(row.fit.std_errors[1]),
+                visibility_err=row.fit.visibility_error,
                 sigma_fit_ps=row.fit.params.sigma_ps,
-                sigma_err_ps=float(row.fit.std_errors[2]),
+                sigma_err_ps=row.fit.sigma_error,
             )
             if not row.fit.converged:
                 any_failure = True
@@ -522,16 +512,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
     for line in _fit_summary_lines(fit):
         print(line)
 
-    rows = [
-        ("baseline", fit.params.baseline, float(fit.std_errors[0])),
-        ("visibility", fit.params.visibility, float(fit.std_errors[1])),
-        ("sigma_ps", fit.params.sigma_ps, float(fit.std_errors[2])),
-    ]
-    if fit.center_ps is not None:
-        rows.append(("center_ps", fit.center_ps, float(fit.std_errors[3])))
-    buf = ["parameter,estimate,std_error"]
-    for name, est, err in rows:
-        buf.append(f"{name},{est!r},{err!r}")
     report = reporting.build_report(
         kind="fit",
         config=config,
@@ -544,8 +524,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
         analytic={"dip_factor": splitter_dip_factor(config.splitter)},
         wall_seconds=round(time.perf_counter() - t0, 3),
     )
-    _emit(args, report, {"fit.csv": "\n".join(buf) + "\n"})
-    return EXIT_OK if fit.converged else EXIT_NO_CONVERGENCE
+    _emit(args, report, {"fit.csv": reporting.table_csv(
+        ("parameter", "estimate", "std_error"), fit.parameters
+    )})
+    if fit.degenerate or not fit.converged:
+        return EXIT_NO_CONVERGENCE
+    return EXIT_OK
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:

@@ -5,7 +5,8 @@ dip fit (`fit_dip`). The damping schedule is the classic one, fixed in
 module constants: multiply the damping by 10 when a step is rejected,
 divide by 10 when accepted, with the Marquardt diagonal scaling. Parameter
 uncertainties come from the inverse of the weighted normal-equations
-matrix at the optimum.
+matrix at the optimum; the dip fit reports the one the optimizer computed,
+mapped from its internal log-sigma coordinate to sigma.
 
 The dip fit estimates (baseline, visibility, sigma); the splitter's T and
 R are instrument constants measured separately and are never fitted. An
@@ -20,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .analytics import DipModelParams, splitter_dip_factor
+from .analytics import DipModelParams, dip_curve, splitter_dip_factor
 from .model import BeamSplitter
 
 if TYPE_CHECKING:  # import only for annotations; simulate imports this module
@@ -195,10 +196,10 @@ def levenberg_marquardt(
 class FitResult:
     """Dip-fit estimate with uncertainties.
 
-    Parameter order in `std_errors` and `covariance` is (baseline,
-    visibility, sigma_ps) plus, when the center was fitted, center_ps
-    last. `chi_squared` is the weighted sum of squared residuals at the
-    optimum, comparable to `dof` for Poisson-consistent data.
+    `parameters` names the order of `std_errors` and `covariance`:
+    (baseline, visibility, sigma_ps) plus, when the center was fitted,
+    center_ps last. `chi_squared` is the weighted sum of squared residuals
+    at the optimum, comparable to `dof` for Poisson-consistent data.
     """
 
     params: DipModelParams
@@ -211,6 +212,16 @@ class FitResult:
     degenerate: bool = False
     message: str = ""
     center_ps: float | None = None
+
+    @property
+    def parameters(self) -> list[tuple[str, float, float]]:
+        """(name, estimate, std_error) in covariance order."""
+        estimates = [("baseline", self.params.baseline),
+                     ("visibility", self.params.visibility),
+                     ("sigma_ps", self.params.sigma_ps),
+                     ("center_ps", self.center_ps)]  # dropped unless fitted
+        return [(name, est, float(err))
+                for (name, est), err in zip(estimates, self.std_errors)]
 
     @property
     def visibility(self) -> float:
@@ -227,18 +238,6 @@ class FitResult:
     @property
     def sigma_error(self) -> float:
         return float(self.std_errors[2])
-
-
-def _dip_curve(
-    delays: np.ndarray,
-    baseline: float,
-    visibility: float,
-    sigma: float,
-    factor: float,
-    center: float = 0.0,
-) -> np.ndarray:
-    d = (delays - center) / sigma
-    return baseline * (1.0 - factor * visibility * np.exp(-0.5 * d * d))
 
 
 def _dip_jacobian_external(
@@ -333,7 +332,7 @@ def fit_dip(
 
     def model(x: np.ndarray, th: np.ndarray) -> np.ndarray:
         b, v, s, c = to_external(th)
-        return _dip_curve(x, b, v, s, factor, c)
+        return dip_curve(x, b, v, s, factor, c)
 
     def jacobian(x: np.ndarray, th: np.ndarray) -> np.ndarray:
         b, v, s, c = to_external(th)
@@ -355,15 +354,12 @@ def fit_dip(
         jacobian=jacobian, project=project,
     )
 
+    # lm.covariance is in (baseline, visibility, log sigma[, center]);
+    # d sigma = sigma d(log sigma) maps it to the reported coordinates.
     b, v, s, c = to_external(lm.theta)
-    J_ext = _dip_jacobian_external(delays, b, v, s, factor, c, with_center=fit_center)
-    A = J_ext.T @ (weights[:, None] * J_ext)
-    degenerate = lm.degenerate
-    message = lm.message
-    covariance, singular = _covariance_from_normal(A)
-    if singular and not degenerate:
-        degenerate = True
-        message += "; singular normal matrix, covariance is a pseudo-inverse"
+    scale = np.ones(n_params)
+    scale[2] = s
+    covariance = lm.covariance * np.outer(scale, scale)
     std_errors = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
 
     return FitResult(
@@ -374,7 +370,7 @@ def fit_dip(
         dof=len(points) - n_params,
         converged=lm.converged,
         iterations=lm.iterations,
-        degenerate=degenerate,
-        message=message,
+        degenerate=lm.degenerate,
+        message=lm.message,
         center_ps=c if fit_center else None,
     )

@@ -90,7 +90,7 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
     if u.shape != (N_MODES, N_MODES):
         raise ValueError(f"mode unitary must be {N_MODES}x{N_MODES} (got {u.shape})")
     residual = np.abs(u @ u.conj().T - np.eye(N_MODES)).max()
-    if residual > 1e-12:
+    if not residual <= 1e-12:  # a NaN residual fails too
         raise ValueError(f"matrix is not unitary (residual {residual:.3e})")
     return u
 

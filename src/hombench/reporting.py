@@ -21,7 +21,7 @@ import io
 import json
 import math
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from ._version import __version__
 from .configio import config_to_schema_dict
@@ -37,10 +37,8 @@ REPEAT_COLUMNS = POINT_COLUMNS + ("mean", "stddev")
 
 
 def fit_to_dict(fit: FitResult) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "baseline": fit.params.baseline,
-        "visibility": fit.params.visibility,
-        "sigma_ps": fit.params.sigma_ps,
+    return {
+        **{name: estimate for name, estimate, _ in fit.parameters},
         "std_errors": [float(e) for e in fit.std_errors],
         "covariance": [[float(v) for v in row] for row in fit.covariance],
         "chi_squared": fit.chi_squared,
@@ -50,9 +48,6 @@ def fit_to_dict(fit: FitResult) -> dict[str, Any]:
         "degenerate": fit.degenerate,
         "message": fit.message,
     }
-    if fit.center_ps is not None:
-        out["center_ps"] = fit.center_ps
-    return out
 
 
 def point_to_dict(point: ScanPoint) -> dict[str, Any]:
@@ -101,6 +96,16 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
+def table_csv(columns: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+    """Header line, then one line per row; None is written as an empty cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow(["" if cell is None else _fmt(cell) for cell in row])
+    return buf.getvalue()
+
+
 def points_csv(
     points: Sequence[ScanPoint],
     repeat_stats: Sequence[tuple[float, float]] | None = None,
@@ -112,22 +117,15 @@ def points_csv(
     """
     if repeat_stats is not None and len(repeat_stats) != len(points):
         raise ValueError("repeat_stats length must match points")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPEAT_COLUMNS if repeat_stats is not None else POINT_COLUMNS)
-    for i, pt in enumerate(points):
-        row = [
-            _fmt(pt.delay_ps),
-            _fmt(pt.gates),
-            _fmt(pt.singles_a),
-            _fmt(pt.singles_b),
-            _fmt(pt.coincidences),
-        ]
-        if repeat_stats is not None:
-            mean, stddev = repeat_stats[i]
-            row += [_fmt(float(mean)), _fmt(float(stddev))]
-        writer.writerow(row)
-    return buf.getvalue()
+    rows = [
+        [pt.delay_ps, pt.gates, pt.singles_a, pt.singles_b, pt.coincidences]
+        for pt in points
+    ]
+    if repeat_stats is None:
+        return table_csv(POINT_COLUMNS, rows)
+    for row, (mean, stddev) in zip(rows, repeat_stats):
+        row += [float(mean), float(stddev)]
+    return table_csv(REPEAT_COLUMNS, rows)
 
 
 def read_points_csv(path: str | Path) -> list[ScanPoint]:
@@ -167,15 +165,6 @@ def read_points_csv(path: str | Path) -> list[ScanPoint]:
     return points
 
 
-def two_column_csv(header: tuple[str, str], rows: Sequence[tuple[Any, Any]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for key, value in rows:
-        writer.writerow([str(key), _fmt(value)])
-    return buf.getvalue()
-
-
 def sweep_csv(rows: Sequence[Mapping[str, Any]]) -> str:
     """Summary table of a pair-rate sweep, one row per operating point.
 
@@ -191,22 +180,9 @@ def sweep_csv(rows: Sequence[Mapping[str, Any]]) -> str:
         "visibility_predicted",
         "converged",
     )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow(
-            ["" if row.get(c) is None else _fmt(row[c]) for c in columns]
-        )
-    return buf.getvalue()
+    return table_csv(columns, [[row.get(c) for c in columns] for row in rows])
 
 
 def car_offsets_csv(matched: int, unmatched: Sequence[int]) -> str:
     """Slot histogram: offset 0 is the same-gate (matched) count."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("offset_gates", "coincidences"))
-    writer.writerow(("0", str(matched)))
-    for k, count in enumerate(unmatched, start=1):
-        writer.writerow((str(k), str(count)))
-    return buf.getvalue()
+    return table_csv(("offset_gates", "coincidences"), enumerate([matched, *unmatched]))

@@ -42,6 +42,7 @@ from .analytics import (
     amplitude_overlap,
     budget_from_config,
     car_peak_pair_rate,
+    car_terms,
     indistinguishability,
     invert_car,
     visibility_prediction,
@@ -515,19 +516,13 @@ def _car_pattern_distribution(config: ExperimentConfig) -> np.ndarray:
       divided by the gate divider: the same dark rate, resolved in a
       pulse-period window instead of a whole gate.
     """
-    divider = config.timing.gate_divider
-    dark_a = config.detector_a.dark_prob_per_gate / divider
-    dark_b = config.detector_b.dark_prob_per_gate / divider
+    p, eta_s, eta_i, dark_a, dark_b = car_terms(config)
     pi = np.zeros(4)
     for weight, kind in _pair_arrangements(
-        1.0 / config.source.extinction_ratio,
-        config.channel_s.transmittance,
-        config.channel_i.transmittance,
+        1.0 / config.source.extinction_ratio, eta_s, eta_i
     ):
         pi[_CAR_PATTERN[kind]] += weight
-    pair_count_pmf = folded_poisson(
-        config.source.mean_pairs_per_pulse, config.source.max_pairs
-    )
+    pair_count_pmf = folded_poisson(p, config.source.max_pairs)
     return _compose_gate_pmf(pi, pair_count_pmf, dark_a, dark_b)
 
 
@@ -641,24 +636,13 @@ def run_car(
     accidental_rate = total_unmatched / float((gates - offsets).sum())
     car = matched_rate / accidental_rate
 
-    divider = config.timing.gate_divider
+    _, *detection = car_terms(config)
     try:
-        p_estimate = invert_car(
-            max(car, 1.0),
-            config.channel_s.transmittance,
-            config.channel_i.transmittance,
-            config.detector_a.dark_prob_per_gate / divider,
-            config.detector_b.dark_prob_per_gate / divider,
-        )
+        p_estimate = invert_car(max(car, 1.0), *detection)
     except CalibrationError:
         # Observed CAR above the model maximum (possible in the tails of
         # low statistics): report the peak-rate point estimate.
-        p_estimate = car_peak_pair_rate(
-            config.channel_s.transmittance,
-            config.channel_i.transmittance,
-            config.detector_a.dark_prob_per_gate / divider,
-            config.detector_b.dark_prob_per_gate / divider,
-        )
+        p_estimate = car_peak_pair_rate(*detection)
     return CarResult(
         matched_coincidences=matched,
         unmatched_coincidences=tuple(unmatched),

@@ -38,7 +38,8 @@ from hombench import (
     temporal_decompose,
     visibility_prediction,
 )
-from hombench.fitting import _dip_curve, _dip_jacobian_external
+from hombench.analytics import dip_curve as _dip_curve
+from hombench.fitting import _dip_jacobian_external
 from hombench.simulate import ScanPoint, gate_pattern_distribution
 
 SPLITTER = BeamSplitter.from_db(-3.3, -3.6)

@@ -248,6 +248,22 @@ class TestFitSubcommand:
         assert proc.returncode == 3
         assert f"fit failed: {reason}" in proc.stdout
 
+    def test_degenerate_fit_exits_no_convergence(self, tmp_path):
+        # Four points within 0.3 ps: the fit converges onto a width pinned
+        # against the grid, with a singular normal matrix.
+        csv_path = tmp_path / "narrow.csv"
+        csv_path.write_text(
+            "delay_ps,gates,singles_a,singles_b,coincidences\n"
+            "0.0,1000000,0,0,5\n0.1,1000000,0,0,50\n"
+            "0.2,1000000,0,0,50\n0.3,1000000,0,0,50\n"
+        )
+        proc = run_cli("fit", str(csv_path), "--out", str(tmp_path / "fit"))
+        assert proc.returncode == 3
+        assert "degenerate  " in proc.stdout
+        assert "singular normal matrix" in proc.stdout
+        report = read_json(tmp_path / "fit" / "report.json")
+        assert report["data"]["fit"]["degenerate"] is True
+
     def test_rejects_malformed_csv(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("delay_ps,gates\n0.0,10\n")

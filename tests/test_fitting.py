@@ -14,9 +14,12 @@ from hombench import (
     finite_difference_jacobian,
     fit_dip,
     levenberg_marquardt,
+    load_config,
+    run_dip_scan,
     splitter_dip_factor,
 )
-from hombench.fitting import _dip_curve, _dip_jacobian_external
+from hombench.analytics import dip_curve as _dip_curve
+from hombench.fitting import _dip_jacobian_external
 
 REFERENCE_SPLITTER = BeamSplitter.from_db(-3.3, -3.6)
 DELAYS_21 = np.linspace(-6.0, 6.0, 21)
@@ -278,3 +281,145 @@ class TestFitDip:
         counts = dip_counts(1000.0, 0.8, 1.7, delays=delays)
         with pytest.raises(ValueError, match="baseline leverage"):
             fit_dip(make_points(counts, delays), REFERENCE_SPLITTER)
+
+
+# Seeded multinomial scans on the 21-point grid, fitted as the CLI fits
+# them. Estimates, chi^2, iteration counts, flags and messages are pinned
+# exactly; std errors to rtol 1e-13 (inverting the normal matrix in other
+# coordinates moves only the last digits).
+SCAN_CASES = {
+    # (eta, pairs_per_pulse, gates_per_point, seed)
+    "bright": (0.2, 0.05, 5 * 10**4, 8),
+    "sparse": (0.05, 0.03, 2 * 10**5, 3),
+    "reference_p": (0.05, 0.1, 10**6, 0),
+}
+FROZEN_FITS = [
+    # case, fit_center, (baseline, visibility, sigma_ps, center_ps),
+    # chi_squared, iterations, std_errors
+    ("bright", False,
+     (40.723517073860585, 0.9312142264953314, 1.4961830828904428, None),
+     18.27458791912665, 5,
+     (2.211783912868075, 0.03193041168700547, 0.15342371100307875)),
+    ("bright", True,
+     (40.7426440421044, 0.9333270073546949, 1.4816106565478904,
+      0.14749152222025302),
+     16.211779899287578, 6,
+     (2.1946385765373795, 0.0320914854308256, 0.1515469878972949,
+      0.10207396299353053)),
+    ("sparse", False,
+     (6.33202498929985, 0.878604226250692, 2.352096467583604, None),
+     18.129780568301907, 5,
+     (1.6197265549011974, 0.09133154535487169, 0.8524409723562758)),
+    ("sparse", True,
+     (6.205321074702965, 0.9087211935153492, 2.1530835323674555,
+      -0.42899312663584843),
+     16.68587415728487, 10,
+     (1.303564430760161, 0.10396016736808572, 0.6916129591793564,
+      0.33533617274447636)),
+    ("reference_p", False,
+     (124.27405404391573, 0.8230166046130941, 1.599110614531998, None),
+     14.859209850656915, 6,
+     (4.100059579299643, 0.025508803621555363, 0.11537505006180145)),
+    ("reference_p", True,
+     (124.47356057138143, 0.8230423315763502, 1.6055080242029252,
+      -0.046049602142079614),
+     14.51261178302248, 6,
+     (4.1180972900019155, 0.025475295145079895, 0.11583403591121574,
+      0.07781291947401349)),
+]
+
+
+def scan_case(name: str) -> tuple[list[ScanPoint], BeamSplitter]:
+    eta, p, gates, seed = SCAN_CASES[name]
+    cfg = load_config(
+        None, {"eta_signal": eta, "eta_idler": eta, "pairs_per_pulse": p}
+    )
+    return run_dip_scan(cfg, list(map(float, DELAYS_21)), gates, seed), cfg.splitter
+
+
+class TestFrozenFits:
+    @pytest.mark.parametrize(
+        "case, fit_center, estimates, chi_squared, iterations, std_errors",
+        FROZEN_FITS,
+    )
+    def test_seeded_scan_fit_is_pinned(
+        self, case, fit_center, estimates, chi_squared, iterations, std_errors
+    ):
+        points, splitter = scan_case(case)
+        fit = fit_dip(points, splitter, fit_center=fit_center)
+        got = (
+            fit.params.baseline, fit.params.visibility, fit.params.sigma_ps,
+            fit.center_ps,
+        )
+        assert got == estimates
+        assert fit.chi_squared == chi_squared
+        assert fit.iterations == iterations
+        assert fit.converged and not fit.degenerate
+        assert fit.message == "relative cost decrease below tolerance"
+        np.testing.assert_allclose(fit.std_errors, std_errors, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("fit_center", [False, True])
+    def test_parameters_table_follows_covariance_order(self, fit_center):
+        points, splitter = scan_case("bright")
+        fit = fit_dip(points, splitter, fit_center=fit_center)
+        expected = [
+            ("baseline", fit.params.baseline),
+            ("visibility", fit.params.visibility),
+            ("sigma_ps", fit.params.sigma_ps),
+        ] + ([("center_ps", fit.center_ps)] if fit_center else [])
+        assert fit.parameters == [
+            (name, est, err) for (name, est), err in zip(expected, fit.std_errors)
+        ]
+
+    def test_degenerate_fit_is_pinned(self):
+        # Four points within 0.3 ps: sigma is pinned against the grid and
+        # the normal matrix is numerically singular.
+        points = make_points(
+            np.array([5.0, 50.0, 50.0, 50.0]), np.array([0.0, 0.1, 0.2, 0.3])
+        )
+        fit = fit_dip(points, REFERENCE_SPLITTER)
+        assert (fit.params.baseline, fit.params.visibility, fit.params.sigma_ps) == (
+            50.0, 0.9021481227155688, 0.011480970481747671,
+        )
+        assert fit.chi_squared == 1.5777218104420237e-31
+        assert fit.iterations == 35
+        assert fit.converged and fit.degenerate
+        assert fit.message == (
+            "relative cost decrease below tolerance; singular normal matrix, "
+            "covariance is a pseudo-inverse"
+        )
+
+
+class TestCovarianceOracle:
+    """The reported covariance is the inverse weighted normal matrix of the
+    lineshape in (baseline, visibility, sigma[, center]) at the optimum."""
+
+    @pytest.mark.parametrize("fit_center", [False, True])
+    def test_equals_inverse_normal_matrix_in_reported_coordinates(self, fit_center):
+        rng = np.random.default_rng(4242)
+        factor = splitter_dip_factor(REFERENCE_SPLITTER)
+        checked = 0
+        for _ in range(40):
+            baseline, visibility = rng.uniform(20.0, 5000.0), rng.uniform(0.3, 1.0)
+            sigma, center = rng.uniform(1.0, 2.5), rng.uniform(-0.3, 0.3)
+            counts = rng.poisson(dip_counts(baseline, visibility, sigma, center=center))
+            fit = fit_dip(make_points(counts), REFERENCE_SPLITTER,
+                          fit_center=fit_center)
+            if fit.degenerate:
+                continue
+            J = _dip_jacobian_external(
+                DELAYS_21, fit.params.baseline, fit.params.visibility,
+                fit.params.sigma_ps, factor, fit.center_ps or 0.0,
+                with_center=fit_center,
+            )
+            w = 1.0 / np.maximum(counts, 1.0)
+            oracle = np.linalg.inv(J.T @ (w[:, None] * J))
+            # Relative on the diagonal; an off-diagonal entry is judged on
+            # the scale of its two standard errors (a correlation), since a
+            # near-zero covariance has no relative precision of its own.
+            scale = np.sqrt(np.outer(np.diag(oracle), np.diag(oracle)))
+            np.testing.assert_allclose(
+                fit.covariance / scale, oracle / scale, rtol=0, atol=1e-10
+            )
+            checked += 1
+        assert checked >= 35

@@ -150,6 +150,11 @@ class TestEvolveFock:
         with pytest.raises(ValueError):
             evolve_fock((1, 0, 0, 0), np.ones((4, 4)))
 
+    @pytest.mark.parametrize("engine", [evolve_fock, evolve_fock_ladder])
+    def test_rejects_nan_matrix(self, engine):
+        with pytest.raises(ValueError, match="not unitary"):
+            engine((1, 0, 0, 0), np.full((4, 4), np.nan))
+
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
             evolve_fock((3, 0, 2, 0), U_BALANCED, max_total=4)
