@@ -225,11 +225,20 @@ def invert_car(
     inversion returns the solution with p >= p*, the branch a bright pair
     source operates on. Raises CalibrationError when the requested CAR
     exceeds the achievable maximum or falls below the value at `p_max`.
+
+    With a dark-free detector p* = 0 and the CAR falls from its p -> 0+
+    limit: 1 + eta / dark of the other detector, or +inf when both are
+    dark-free.
     """
     if car < 1.0:
         raise ValueError(f"CAR must be >= 1 (got {car!r})")
     p_lo = car_peak_pair_rate(eta_s, eta_i, dark_a, dark_b)
-    car_lo = car_prediction(p_lo, eta_s, eta_i, dark_a, dark_b)
+    if p_lo > 0.0:
+        car_lo = car_prediction(p_lo, eta_s, eta_i, dark_a, dark_b)
+    elif dark_a or dark_b:
+        car_lo = 1.0 + (eta_i / dark_b if dark_b else eta_s / dark_a)
+    else:
+        car_lo = math.inf
     if car > car_lo:
         raise CalibrationError(
             f"CAR {car:g} exceeds the model maximum {car_lo:g} at p = {p_lo:g}"

@@ -154,6 +154,13 @@ def _rng(seq: np.random.SeedSequence) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
+def _batches(total: int, size: int) -> Iterator[tuple[int, int, int]]:
+    """(batch, start, size) blocks covering range(total); `batch` is the
+    block's spawn key, so `size` fixes the random streams."""
+    for batch, start in enumerate(range(0, total, size)):
+        yield batch, start, min(size, total - start)
+
+
 def folded_poisson(mean: float, max_n: int) -> np.ndarray:
     """Poisson pmf truncated at max_n with the tail folded into the top bin."""
     if mean < 0.0:
@@ -464,13 +471,10 @@ def run_dip_scan(
         cfg = replace(config, delay_ps=float(delay))
         kappa = amplitude_overlap(cfg.delay_ps, cfg.wavepacket.sigma_ps)
         cum = np.cumsum(_pair_pattern_probs(cfg, kappa))
-        start = 0
-        batch = 0
-        while start < gates_per_point:
-            size = min(_DIP_BATCH, gates_per_point - start)
-            tasks.append((i, batch, size, cum))
-            start += size
-            batch += 1
+        tasks.extend(
+            (i, batch, size, cum)
+            for batch, _, size in _batches(gates_per_point, _DIP_BATCH)
+        )
 
     totals = {i: [0, 0, 0] for i in range(len(delays))}
 
@@ -526,23 +530,6 @@ def _car_pattern_distribution(config: ExperimentConfig) -> np.ndarray:
     return _compose_gate_pmf(pi, pair_count_pmf, dark_a, dark_b)
 
 
-def _sample_distinct(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-    """k distinct uniform indices from range(n), randomly ordered.
-
-    Rejection with top-up: collisions are negligible for k << n, and the
-    loop is deterministic for a given generator state.
-    """
-    if k > n:
-        raise ValueError(f"cannot draw {k} distinct values from {n}")
-    if k == 0:
-        return np.empty(0, dtype=np.int64)
-    found = np.unique(rng.integers(0, n, size=k + max(8, k // 8)))
-    while found.size < k:
-        extra = rng.integers(0, n, size=k)
-        found = np.union1d(found, extra)
-    return rng.permutation(found)[:k]
-
-
 def run_car(
     config: ExperimentConfig,
     gates: int,
@@ -557,10 +544,11 @@ def run_car(
     must park the interferometer far off the dip (overlap below 1e-6) so
     that matched counting is interference-free.
 
-    The sampler is sparse and exact: per batch, pattern counts are drawn
-    from the per-slot pmf and the clicking gates are placed uniformly
-    without replacement (gate outcomes are exchangeable), so arbitrarily
-    large gate counts cost only the clicks they produce.
+    The sampler is exact at any click density: per batch, pattern counts
+    are drawn from the per-slot pmf, and the clicking gates are an exact
+    uniform k-subset of the batch from numpy's `Generator.choice(...,
+    replace=False)` in random order (gate outcomes are exchangeable).
+    Sparse batches cost only the clicks they produce.
 
     See `_car_pattern_distribution` for the detection geometry and the
     per-slot dark-count convention.
@@ -598,14 +586,12 @@ def run_car(
     singles_b = 0
     a_chunks: list[np.ndarray] = []
     b_chunks: list[np.ndarray] = []
-    start = 0
-    batch = 0
-    while start < gates:
-        size = min(_CAR_BATCH, gates - start)
+    for batch, start, size in _batches(gates, _CAR_BATCH):
         rng = _rng(_child(base, batch))
         c = rng.multinomial(size, pmf)
         clicking = int(c[_P01] + c[_P10] + c[_P11])
-        pos = _sample_distinct(rng, size, clicking) + start
+        # Shuffled, so the split into both / A only / B only is uniform.
+        pos = rng.choice(size, clicking, replace=False) + start
         both = pos[: c[_P11]]
         a_only = pos[c[_P11]: c[_P11] + c[_P10]]
         b_only = pos[c[_P11] + c[_P10]:]
@@ -614,11 +600,9 @@ def run_car(
         matched += int(c[_P11])
         singles_a += int(c[_P10] + c[_P11])
         singles_b += int(c[_P01] + c[_P11])
-        start += size
-        batch += 1
 
-    a_pos = np.sort(np.concatenate(a_chunks)) if a_chunks else np.empty(0, np.int64)
-    b_pos = np.sort(np.concatenate(b_chunks)) if b_chunks else np.empty(0, np.int64)
+    a_pos = np.sort(np.concatenate(a_chunks))
+    b_pos = np.sort(np.concatenate(b_chunks))
     unmatched = []
     for k in offsets:
         unmatched.append(

@@ -27,7 +27,6 @@ from hombench import (
     dip_model,
     evolve_fock,
     evolve_fock_ladder,
-    finite_difference_jacobian,
     fit_dip,
     fwhm_to_sigma,
     run_car,
@@ -35,11 +34,11 @@ from hombench import (
     run_visibility_sweep,
     splitter_dip_factor,
     splitter_unitary,
-    temporal_decompose,
     visibility_prediction,
 )
 from hombench.analytics import dip_curve as _dip_curve
-from hombench.fitting import _dip_jacobian_external
+from hombench.fitting import _dip_jacobian_external, finite_difference_jacobian
+from hombench.fock import temporal_decompose
 from hombench.simulate import ScanPoint, gate_pattern_distribution
 
 SPLITTER = BeamSplitter.from_db(-3.3, -3.6)

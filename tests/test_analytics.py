@@ -14,16 +14,15 @@ from hombench import (
     amplitude_overlap,
     budget_from_config,
     calibrate_eta,
-    car_peak_pair_rate,
     car_prediction,
     dip_model,
     fwhm_to_sigma,
     indistinguishability,
     invert_car,
     splitter_dip_factor,
-    visibility_from_counts,
     visibility_prediction,
 )
+from hombench.analytics import car_peak_pair_rate, visibility_from_counts
 
 REFERENCE_SPLITTER = BeamSplitter.from_db(-3.3, -3.6)
 
@@ -220,6 +219,23 @@ class TestCar:
         p0 = 0.03
         car = car_prediction(p0, 0.1, 0.08, 1e-5, 2e-5)
         assert invert_car(car, 0.1, 0.08, 1e-5, 2e-5) == pytest.approx(p0, rel=1e-9)
+
+    def test_invert_round_trip_without_darks(self):
+        # Both detectors dark-free: the CAR diverges as p -> 0+.
+        car = car_prediction(0.03, 0.1, 0.1, 0.0, 0.0)
+        assert invert_car(car, 0.1, 0.1, 0.0, 0.0) == pytest.approx(0.03, rel=1e-9)
+
+    @pytest.mark.parametrize("darks", [(0.0, 2e-5), (1e-5, 0.0)])
+    def test_invert_round_trip_with_one_dark_free_detector(self, darks):
+        car = car_prediction(0.03, 0.1, 0.08, *darks)
+        assert invert_car(car, 0.1, 0.08, *darks) == pytest.approx(0.03, rel=1e-9)
+
+    def test_one_dark_free_detector_bounds_the_car(self):
+        # p -> 0+ limit: 1 + eta / dark of the detector that has darks.
+        limit = 1.0 + 0.08 / 2e-5
+        assert invert_car(limit * 0.999, 0.1, 0.08, 0.0, 2e-5) > 0.0
+        with pytest.raises(CalibrationError):
+            invert_car(limit * 1.001, 0.1, 0.08, 0.0, 2e-5)
 
     def test_invert_rejects_unreachable_car(self):
         peak = car_peak_pair_rate(0.1, 0.1, 1e-5, 1e-5)

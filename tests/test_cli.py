@@ -312,6 +312,15 @@ class TestCar:
         assert proc.returncode == 2
         assert "insufficient statistics" in proc.stderr
 
+    def test_dark_free_detectors_still_estimate_the_pair_rate(self, tmp_path):
+        proc = run_cli(
+            "car", "--dark-prob-a", "0", "--dark-prob-b", "0", "--eta", "0.1",
+            "--gates", "1e7", "--out", str(tmp_path / "run"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = read_json(tmp_path / "run" / "report.json")
+        assert report["data"]["p_estimate"] == pytest.approx(0.03, rel=0.1)
+
     def test_dark_only_car_is_near_one(self, tmp_path):
         proc = run_cli(
             "car",

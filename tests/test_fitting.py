@@ -11,7 +11,6 @@ from hombench import (
     DipModelParams,
     ScanPoint,
     dip_model,
-    finite_difference_jacobian,
     fit_dip,
     levenberg_marquardt,
     load_config,
@@ -19,7 +18,7 @@ from hombench import (
     splitter_dip_factor,
 )
 from hombench.analytics import dip_curve as _dip_curve
-from hombench.fitting import _dip_jacobian_external
+from hombench.fitting import _dip_jacobian_external, finite_difference_jacobian
 
 REFERENCE_SPLITTER = BeamSplitter.from_db(-3.3, -3.6)
 DELAYS_21 = np.linspace(-6.0, 6.0, 21)

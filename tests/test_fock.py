@@ -9,15 +9,13 @@ import pytest
 from hombench import (
     CapacityError,
     click_pattern_probs,
-    clicks_from_occupation,
     coincidence_prob,
     evolve_fock,
     evolve_fock_ladder,
-    permanent,
     splitter_unitary,
-    temporal_decompose,
 )
 from hombench import fock
+from hombench.fock import clicks_from_occupation, permanent, temporal_decompose
 
 U_BALANCED = splitter_unitary(0.5, 0.5)
 

@@ -11,12 +11,11 @@ from hombench import (
     DetectorParams,
     TimingConfig,
     config_errors,
-    dark_prob_per_window,
     db_to_linear,
     fwhm_to_sigma,
-    linear_to_db,
     validate,
 )
+from hombench.model import dark_prob_per_window, linear_to_db
 
 
 def test_db_to_linear_known_values():

@@ -14,18 +14,23 @@ from hombench import (
     InsufficientStatisticsError,
     amplitude_overlap,
     budget_from_config,
-    folded_poisson,
+    car_prediction,
     gate_pattern_distribution,
     run_car,
     run_dip_scan,
     run_visibility_sweep,
-    sample_pair_count,
     simulate_gate,
-    thread_cap,
     visibility_prediction,
 )
 from hombench import fock, simulate
-from hombench.simulate import _car_pattern_distribution, _pair_arrangements
+from hombench.analytics import car_terms
+from hombench.simulate import (
+    _car_pattern_distribution,
+    _pair_arrangements,
+    folded_poisson,
+    sample_pair_count,
+    thread_cap,
+)
 
 # Pattern vector order: (no click, B only, A only, both).
 FROZEN_DEFAULT_PMF = [
@@ -322,6 +327,35 @@ class TestRunCar:
     def test_deterministic(self, symmetric_cfg):
         cfg = symmetric_cfg(0.03, 0.1, 1e-4, delay_ps=60.0)
         assert run_car(cfg, 2_000_000, seed=4) == run_car(cfg, 2_000_000, seed=4)
+
+    def test_dense_clicks_meet_the_exact_car(self, symmetric_cfg):
+        # p = 2, eta = 1: 86% of gates click both detectors.
+        cfg = symmetric_cfg(2.0, 1.0, 1e-4, delay_ps=60.0)
+        pmf = _car_pattern_distribution(cfg)
+        exact = pmf[3] / ((pmf[2] + pmf[3]) * (pmf[1] + pmf[3]))
+        assert exact == pytest.approx(1.157, abs=5e-4)
+        # The closed form keeps only the single-pair true term.
+        assert car_prediction(*car_terms(cfg)) == pytest.approx(3.675, abs=5e-4)
+        result = run_car(cfg, 200_000, seed=0)
+        accidentals = sum(result.unmatched_coincidences)
+        sigma = result.car * math.sqrt(
+            1.0 / result.matched_coincidences + 1.0 / accidentals
+        )
+        assert abs(result.car - exact) <= 5.0 * sigma
+
+    def test_saturated_clicks_fill_every_gate(self, symmetric_cfg, monkeypatch):
+        # Every gate clicks both detectors, so each batch draws all of its
+        # gates, and offsets pair clicks across batch boundaries.
+        monkeypatch.setattr(simulate, "_CAR_BATCH", 1000)
+        cfg = symmetric_cfg(50.0, 1.0, 1e-4, delay_ps=60.0, extinction=1e30)
+        gates = 10_000
+        result = run_car(cfg, gates, seed=0)
+        assert result.singles_a == result.singles_b == gates
+        assert result.matched_coincidences == gates
+        assert result.unmatched_coincidences == tuple(
+            gates - k for k in range(1, 11)
+        )
+        assert result.car == 1.0
 
 
 class TestRunVisibilitySweep:
