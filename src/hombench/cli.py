@@ -404,9 +404,9 @@ def cmd_visibility_sweep(args: argparse.Namespace) -> int:
             entry.update(
                 converged=row.fit.converged,
                 visibility_fit=row.fit.params.visibility,
-                visibility_err=row.fit.visibility_error,
+                visibility_err=reporting.defined(row.fit.visibility_error),
                 sigma_fit_ps=row.fit.params.sigma_ps,
-                sigma_err_ps=row.fit.sigma_error,
+                sigma_err_ps=reporting.defined(row.fit.sigma_error),
             )
             if not row.fit.converged:
                 any_failure = True
@@ -427,7 +427,9 @@ def cmd_visibility_sweep(args: argparse.Namespace) -> int:
         if entry["visibility_fit"] is None:
             fitted = "(fit failed)"
         else:
-            fitted = f"{entry['visibility_fit']:.4f} +/- {entry['visibility_err']:.4f}"
+            err = entry["visibility_err"]  # None when the fit is degenerate
+            fitted = (f"{entry['visibility_fit']:.4f} +/- "
+                      f"{math.nan if err is None else err:.4f}")
         print(
             f"{entry['pairs_per_pulse']:<16.4g} {fitted:<24} "
             f"{entry['visibility_predicted']:.4f}"
@@ -525,7 +527,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
         wall_seconds=round(time.perf_counter() - t0, 3),
     )
     _emit(args, report, {"fit.csv": reporting.table_csv(
-        ("parameter", "estimate", "std_error"), fit.parameters
+        ("parameter", "estimate", "std_error"),
+        [(name, est, reporting.defined(err)) for name, est, err in fit.parameters],
     )})
     if fit.degenerate or not fit.converged:
         return EXIT_NO_CONVERGENCE

@@ -199,7 +199,8 @@ class FitResult:
     `parameters` names the order of `std_errors` and `covariance`:
     (baseline, visibility, sigma_ps) plus, when the center was fitted,
     center_ps last. `chi_squared` is the weighted sum of squared residuals
-    at the optimum, comparable to `dof` for Poisson-consistent data.
+    at the optimum, comparable to `dof` for Poisson-consistent data. A
+    degenerate fit has no covariance: every entry and std error is NaN.
     """
 
     params: DipModelParams
@@ -360,6 +361,8 @@ def fit_dip(
     scale = np.ones(n_params)
     scale[2] = s
     covariance = lm.covariance * np.outer(scale, scale)
+    if lm.degenerate:  # a pseudo-inverse is not a covariance
+        covariance[:] = np.nan
     std_errors = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
 
     return FitResult(

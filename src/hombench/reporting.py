@@ -36,11 +36,16 @@ POINT_COLUMNS = ("delay_ps", "gates", "singles_a", "singles_b", "coincidences")
 REPEAT_COLUMNS = POINT_COLUMNS + ("mean", "stddev")
 
 
+def defined(value: float) -> float | None:
+    """NaN (an undefined estimate) as None: null in JSON, an empty CSV cell."""
+    return None if math.isnan(value) else float(value)
+
+
 def fit_to_dict(fit: FitResult) -> dict[str, Any]:
     return {
         **{name: estimate for name, estimate, _ in fit.parameters},
-        "std_errors": [float(e) for e in fit.std_errors],
-        "covariance": [[float(v) for v in row] for row in fit.covariance],
+        "std_errors": [defined(e) for e in fit.std_errors],
+        "covariance": [[defined(v) for v in row] for row in fit.covariance],
         "chi_squared": fit.chi_squared,
         "dof": fit.dof,
         "converged": fit.converged,

@@ -65,6 +65,8 @@ _CAR_PATTERN = {"none": _P00, "single_i": _P01, "same_i": _P01,
 # seed, so these fix the streams, not just the work split.
 _DIP_BATCH = 1 << 20
 _CAR_BATCH = 1 << 22
+# A clicks per pass of the CAR offset walk; bounds its temporaries only.
+_WALK_BLOCK = 1 << 18
 
 
 class InsufficientStatisticsError(RuntimeError):
@@ -392,33 +394,37 @@ def simulate_gate(
 def _simulate_batch(
     rng: np.random.Generator,
     n_gates: int,
-    p: float,
-    max_pairs: int,
+    pair_count_pmf: np.ndarray,
     pattern_cum: np.ndarray,
     dark_a: float,
     dark_b: float,
-) -> tuple[int, int, int]:
-    """Vectorized per-gate sampling; returns (coincidences, singles_a, singles_b).
+) -> np.ndarray:
+    """Click-pattern counts of one batch of gates, sampled per gate.
 
-    Pattern uniforms are drawn for every gate and pair slot, active or
-    not, so the stream layout is fixed and the result depends only on the
-    batch generator's seed.
+    Gates are exchangeable, so a batch costs only its gates with pairs.
+    Draws, in this order: one multinomial splits the batch by pair number;
+    one more counts the pair-free gates over the four dark patterns; the
+    gates with pairs, ordered by descending pair number (so pair slot s is
+    the first `by_n[s:].sum()` of them), draw one pattern per pair from
+    `pattern_cum` and one dark uniform per detector. The stream layout
+    depends on the drawn counts alone: the batch generator fixes the result.
     """
-    n = np.minimum(rng.poisson(p, n_gates), max_pairs)
-    click_a = np.zeros(n_gates, dtype=bool)
-    click_b = np.zeros(n_gates, dtype=bool)
-    for slot in range(max_pairs):
-        pat = np.searchsorted(pattern_cum, rng.random(n_gates), side="right")
-        active = slot < n
-        click_a |= active & ((pat == _P10) | (pat == _P11))
-        click_b |= active & ((pat == _P01) | (pat == _P11))
-    click_a |= rng.random(n_gates) < dark_a
-    click_b |= rng.random(n_gates) < dark_b
-    return (
-        int((click_a & click_b).sum()),
-        int(click_a.sum()),
-        int(click_b.sum()),
-    )
+    by_n = rng.multinomial(n_gates, pair_count_pmf)
+    idle = rng.multinomial(by_n[0], [
+        (1.0 - dark_a) * (1.0 - dark_b), (1.0 - dark_a) * dark_b,
+        dark_a * (1.0 - dark_b), dark_a * dark_b,
+    ])
+    active = n_gates - int(by_n[0])
+    click_a = np.zeros(active, dtype=bool)
+    click_b = np.zeros(active, dtype=bool)
+    for slot in range(1, by_n.size):
+        m = int(by_n[slot:].sum())
+        pat = np.searchsorted(pattern_cum, rng.random(m), side="right")
+        click_a[:m] |= (pat == _P10) | (pat == _P11)
+        click_b[:m] |= (pat == _P01) | (pat == _P11)
+    click_a |= rng.random(active) < dark_a
+    click_b |= rng.random(active) < dark_b
+    return idle + np.bincount(2 * click_a + click_b, minlength=4)
 
 
 def run_dip_scan(
@@ -432,9 +438,11 @@ def run_dip_scan(
 
     sampler = "multinomial" draws each point's pattern counts in one exact
     multinomial from the per-gate pmf (distributionally identical to
-    simulating every gate, any gate count in O(1)); "per-gate" simulates
-    gates in vectorized batches and exercises the stochastic chain itself.
-    Deterministic for a given (config, seed, sampler) at any thread count.
+    simulating every gate, any gate count in O(1)); "per-gate" samples the
+    stochastic chain itself (pair number, per-pair patterns, darks) in
+    `_DIP_BATCH`-gate batches, see `_simulate_batch`. Deterministic for a
+    given (config, seed, sampler) at any thread count: each (point, batch)
+    has its own generator from a fixed spawn key, and batch counts add.
     """
     validate(config)
     if gates_per_point < 1:
@@ -444,64 +452,45 @@ def run_dip_scan(
     if sampler not in SAMPLERS:
         raise ValueError(f"sampler must be one of {SAMPLERS} (got {sampler!r})")
     base = _as_seedseq(seed)
+    configs = [replace(config, delay_ps=float(delay)) for delay in delays]
+    counts = np.zeros((len(delays), 4), dtype=np.int64)
 
-    points: list[ScanPoint] = []
     if sampler == "multinomial":
-        for i, delay in enumerate(delays):
-            cfg = replace(config, delay_ps=float(delay))
-            pmf = gate_pattern_distribution(cfg)
-            counts = _rng(_child(base, i)).multinomial(gates_per_point, pmf)
-            points.append(
-                ScanPoint(
-                    delay_ps=float(delay),
-                    gates=gates_per_point,
-                    coincidences=int(counts[_P11]),
-                    singles_a=int(counts[_P10] + counts[_P11]),
-                    singles_b=int(counts[_P01] + counts[_P11]),
-                )
+        for i, cfg in enumerate(configs):
+            counts[i] = _rng(_child(base, i)).multinomial(
+                gates_per_point, gate_pattern_distribution(cfg)
             )
-        return points
-
-    p = config.source.mean_pairs_per_pulse
-    max_pairs = config.source.max_pairs
-    dark_a = config.detector_a.dark_prob_per_gate
-    dark_b = config.detector_b.dark_prob_per_gate
-    tasks = []
-    for i, delay in enumerate(delays):
-        cfg = replace(config, delay_ps=float(delay))
-        kappa = amplitude_overlap(cfg.delay_ps, cfg.wavepacket.sigma_ps)
-        cum = np.cumsum(_pair_pattern_probs(cfg, kappa))
-        tasks.extend(
-            (i, batch, size, cum)
-            for batch, _, size in _batches(gates_per_point, _DIP_BATCH)
+    else:
+        pair_count_pmf = folded_poisson(
+            config.source.mean_pairs_per_pulse, config.source.max_pairs
         )
-
-    totals = {i: [0, 0, 0] for i in range(len(delays))}
-
-    def run_task(task):
-        i, batch, size, cum = task
-        return i, _simulate_batch(
-            _rng(_child(base, i, batch)), size, p, max_pairs, cum, dark_a, dark_b
-        )
-
-    with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
-        for i, (coinc, sa, sb) in pool.map(run_task, tasks):
-            totals[i][0] += coinc
-            totals[i][1] += sa
-            totals[i][2] += sb
-
-    for i, delay in enumerate(delays):
-        coinc, sa, sb = totals[i]
-        points.append(
-            ScanPoint(
-                delay_ps=float(delay),
-                gates=gates_per_point,
-                coincidences=coinc,
-                singles_a=sa,
-                singles_b=sb,
+        darks = (config.detector_a.dark_prob_per_gate,
+                 config.detector_b.dark_prob_per_gate)
+        tasks = []
+        for i, cfg in enumerate(configs):
+            kappa = amplitude_overlap(cfg.delay_ps, cfg.wavepacket.sigma_ps)
+            cum = np.cumsum(_pair_pattern_probs(cfg, kappa))
+            tasks.extend(
+                (i, batch, size, cum)
+                for batch, _, size in _batches(gates_per_point, _DIP_BATCH)
             )
-        )
-    return points
+
+        def run_task(task):
+            i, batch, size, cum = task
+            return i, _simulate_batch(
+                _rng(_child(base, i, batch)), size, pair_count_pmf, cum, *darks
+            )
+
+        with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
+            for i, batch_counts in pool.map(run_task, tasks):
+                counts[i] += batch_counts
+
+    return [
+        ScanPoint(float(delay), gates_per_point, coincidences=int(c[_P11]),
+                  singles_a=int(c[_P10] + c[_P11]),
+                  singles_b=int(c[_P01] + c[_P11]))
+        for delay, c in zip(delays, counts)
+    ]
 
 
 def _car_pattern_distribution(config: ExperimentConfig) -> np.ndarray:
@@ -528,6 +517,28 @@ def _car_pattern_distribution(config: ExperimentConfig) -> np.ndarray:
         pi[_CAR_PATTERN[kind]] += weight
     pair_count_pmf = folded_poisson(p, config.source.max_pairs)
     return _compose_gate_pmf(pi, pair_count_pmf, dark_a, dark_b)
+
+
+def _offset_counts(a_pos: np.ndarray, b_pos: np.ndarray, k_max: int) -> np.ndarray:
+    """Counts of (a, b) pairs with b - a = k for k = 1 .. k_max.
+
+    `a_pos` and `b_pos` are sorted and distinct. A walk from the first B
+    click after each A click: every pass steps each A click to its next
+    B click and drops the A clicks whose next B click is over k_max gates
+    away; offsets grow by at least one per pass, so at most k_max + 1 run.
+    """
+    hist = np.zeros(k_max + 1, dtype=np.int64)
+    for _, start, size in _batches(a_pos.size, _WALK_BLOCK):
+        a = a_pos[start:start + size]
+        j = np.searchsorted(b_pos, a, side="right")
+        while a.size:
+            live = j < b_pos.size
+            a, j = a[live], j[live]
+            d = b_pos[j] - a
+            near = d <= k_max
+            a, j = a[near], j[near] + 1
+            hist += np.bincount(d[near], minlength=k_max + 1)
+    return hist[1:]
 
 
 def run_car(
@@ -601,13 +612,11 @@ def run_car(
         singles_a += int(c[_P10] + c[_P11])
         singles_b += int(c[_P01] + c[_P11])
 
-    a_pos = np.sort(np.concatenate(a_chunks))
-    b_pos = np.sort(np.concatenate(b_chunks))
-    unmatched = []
-    for k in offsets:
-        unmatched.append(
-            int(np.intersect1d(a_pos, b_pos - k, assume_unique=True).size)
-        )
+    unmatched = [int(c) for c in _offset_counts(
+        np.sort(np.concatenate(a_chunks)),
+        np.sort(np.concatenate(b_chunks)),
+        n_offset_slots,
+    )]
     total_unmatched = sum(unmatched)
     if total_unmatched == 0:
         raise InsufficientStatisticsError(

@@ -263,6 +263,13 @@ class TestFitSubcommand:
         assert "singular normal matrix" in proc.stdout
         report = read_json(tmp_path / "fit" / "report.json")
         assert report["data"]["fit"]["degenerate"] is True
+        # No std error or covariance entry is defined: null, empty cells.
+        assert report["data"]["fit"]["std_errors"] == [None] * 3
+        assert report["data"]["fit"]["covariance"] == [[None] * 3] * 3
+        assert "sigma_ps    0.0115 +/- nan" in proc.stdout
+        rows = (tmp_path / "fit" / "fit.csv").read_text().splitlines()
+        assert rows[0] == "parameter,estimate,std_error"
+        assert [row.rsplit(",", 1)[1] for row in rows[1:]] == ["", "", ""]
 
     def test_rejects_malformed_csv(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -352,6 +359,24 @@ class TestVisibilitySweep:
         for row in rows:
             assert row["fit"]["converged"] is True
             assert row["visibility_predicted"] is not None
+
+    def test_degenerate_row_leaves_its_errors_empty(self, tmp_path):
+        # Four delays within 0.3 ps: the fit pins sigma against the grid
+        # with a singular normal matrix, so no std error is defined.
+        out = tmp_path / "run"
+        proc = run_cli(
+            "visibility-sweep", "--eta", "0.2", "--pairs", "0.05",
+            "--gates", "1e4", "--seed", "0", "--delay-min", "0",
+            "--delay-max", "0.3", "--delay-steps", "4", "--out", str(out),
+        )
+        assert proc.returncode == 0
+        assert "+/- nan" in proc.stdout
+        (row,) = read_json(out / "report.json")["data"]["rows"]
+        assert row["fit"]["degenerate"] is True
+        assert row["visibility_err"] is None and row["sigma_err_ps"] is None
+        assert row["fit"]["std_errors"] == [None] * 3
+        line = (out / "sweep.csv").read_text().splitlines()[1].split(",")
+        assert line[2] == line[4] == ""
 
     def test_empty_pair_list_is_a_usage_error(self):
         proc = run_cli("visibility-sweep", "--pairs", "")

@@ -387,6 +387,11 @@ class TestFrozenFits:
             "relative cost decrease below tolerance; singular normal matrix, "
             "covariance is a pseudo-inverse"
         )
+        # No covariance exists: every entry and std error is undefined.
+        assert fit.covariance.shape == (3, 3)
+        assert np.isnan(fit.covariance).all()
+        assert np.isnan(fit.std_errors).all() and fit.std_errors.shape == (3,)
+        assert all(math.isnan(err) for _, _, err in fit.parameters)
 
 
 class TestCovarianceOracle:

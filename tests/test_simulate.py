@@ -3,10 +3,11 @@
 import math
 import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hombench import (
@@ -26,6 +27,7 @@ from hombench import fock, simulate
 from hombench.analytics import car_terms
 from hombench.simulate import (
     _car_pattern_distribution,
+    _offset_counts,
     _pair_arrangements,
     folded_poisson,
     sample_pair_count,
@@ -191,6 +193,32 @@ def test_pair_arrangements_are_a_distribution(leak, u_s, u_i):
     }
 
 
+_positions = st.sets(st.integers(0, 80)).map(
+    lambda s: np.array(sorted(s), dtype=np.int64)
+)
+
+
+def _ints(*values):
+    return np.array(values, dtype=np.int64)
+
+
+@given(a=_positions, b=_positions, k_max=st.integers(1, 12),
+       block=st.integers(1, 9))
+@example(a=_ints(3, 40), b=_ints(80), k_max=10, block=1)  # B at the last index
+@example(a=_ints(3, 4, 5), b=_ints(), k_max=10, block=2)  # no B clicks
+@example(a=_ints(), b=_ints(1, 2), k_max=10, block=2)  # no A clicks
+@example(a=_ints(*range(30)), b=_ints(*range(30)), k_max=3, block=4)  # long runs
+@example(a=_ints(*range(0, 40, 2)), b=_ints(*range(1, 41, 2)), k_max=12, block=7)
+def test_offset_walk_matches_intersections(a, b, k_max, block):
+    # Small blocks put A clicks of one offset pair in different blocks.
+    with mock.patch.object(simulate, "_WALK_BLOCK", block):
+        walked = _offset_counts(a, b, k_max)
+    assert walked.tolist() == [
+        np.intersect1d(a, b - k, assume_unique=True).size
+        for k in range(1, k_max + 1)
+    ]
+
+
 def test_simulate_gate_tracks_exact_pmf(symmetric_cfg):
     # Chi-square of the staged single-gate mechanism against the closed
     # pmf; 3 dof, threshold at the 0.1% tail. Fixed seed keeps it exact.
@@ -243,6 +271,40 @@ class TestRunDipScan:
             mu = gates * p11
             z = (pt.coincidences - mu) / math.sqrt(mu * (1.0 - p11))
             assert abs(z) < 5.0, f"delay {pt.delay_ps}: z = {z:.2f}"
+
+    @pytest.mark.parametrize("p, eta, dark_a, dark_b, max_pairs", [
+        (2.0, 1.0, 1e-4, 1e-4, 3),  # dense
+        (0.03, 0.05, 0.05, 0.01, 3),  # dark-dominated
+        (0.0, 0.2, 0.2, 0.1, 3),  # no pairs: every click is a dark
+        (1.0, 0.2, 1e-4, 1e-4, 2),  # folded Poisson tail
+        (1.0, 0.2, 1e-4, 1e-4, 6),
+    ])
+    def test_per_gate_counts_track_exact_pmf(
+        self, symmetric_cfg, monkeypatch, p, eta, dark_a, dark_b, max_pairs
+    ):
+        # Coincidences and both singles at 5 sigma, over several batches
+        # with a ragged last one.
+        monkeypatch.setattr(simulate, "_DIP_BATCH", 100_000)
+        cfg = symmetric_cfg(p, eta, dark_a)
+        cfg = replace(
+            cfg,
+            source=replace(cfg.source, max_pairs=max_pairs),
+            detector_b=replace(cfg.detector_b, dark_prob_per_gate=dark_b),
+        )
+        gates = 450_000
+        points = run_dip_scan(cfg, [0.0, 2.0], gates, seed=31, sampler="per-gate")
+        for pt in points:
+            pmf = gate_pattern_distribution(replace(cfg, delay_ps=pt.delay_ps))
+            if p == 0.0:
+                assert pmf[3] == pytest.approx(dark_a * dark_b, rel=1e-12)
+            for observed, prob in (
+                (pt.coincidences, pmf[3]),
+                (pt.singles_a, pmf[2] + pmf[3]),
+                (pt.singles_b, pmf[1] + pmf[3]),
+            ):
+                mu = gates * prob
+                z = (observed - mu) / math.sqrt(mu * (1.0 - prob))
+                assert abs(z) < 5.0, f"delay {pt.delay_ps}: z = {z:.2f}"
 
     def test_off_dip_rate_matches_distinguishable_oracle(self, symmetric_cfg):
         cfg = symmetric_cfg(0.05, 0.2, 1e-4, delay_ps=60.0)
