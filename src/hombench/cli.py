@@ -3,14 +3,15 @@
 Subcommands: predict, calibrate, dip-scan, visibility-sweep, car, fit.
 Every config field is overridable in three layers: built-in calibrated
 defaults, then a JSON config file (--config, partial files allowed), then
-individual flags; later layers win. Runs that produce data write a JSON
-run report plus plot-ready CSV into --out.
+individual flags; later layers win. `main` loads the config, runs the
+subcommand, and writes its JSON run report and plot-ready CSVs into --out
+in one envelope (kind, seed, config, analytic, data, wall time).
 
 Exit codes: 0 success, 1 validation error (bad flags, bad config, an
 infeasible calibration target), 2 runtime or statistics error (I/O,
-insufficient counts), 3 fit non-convergence or a failed fit precondition
-(too few points, no baseline leverage); `fit` also exits 3 on a
-degenerate fit.
+insufficient counts), 3 when a fitting subcommand (dip-scan,
+visibility-sweep, fit) has a fit that failed its preconditions (too few
+points, no baseline leverage), did not converge, or is degenerate.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from . import configio, reporting
 from ._version import __version__
 from .analytics import (
     NoAccidentalsError,
-    VisibilityBudget,
     amplitude_overlap,
     budget_from_config,
     calibrate_eta,
@@ -139,48 +139,50 @@ def _delay_grid(args: argparse.Namespace) -> list[float]:
 
 
 def _emit(
-    args: argparse.Namespace,
-    report: dict[str, Any],
-    csv_files: dict[str, str] | None = None,
-    extra_files: dict[str, str] | None = None,
+    args: argparse.Namespace, report: dict[str, Any], files: dict[str, str]
 ) -> None:
-    """Write report/CSV files into --out according to --format."""
-    out = getattr(args, "out", None)
-    if out is None:
+    """Write report.json and the CSVs as --format selects; other files always."""
+    if args.out is None:
         return
-    out_dir = Path(out)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    fmt = getattr(args, "format", "both")
     written: list[Path] = []
-    if fmt in ("json", "both"):
+    if args.format != "csv":
         path = out_dir / "report.json"
         reporting.write_report(report, path)
         written.append(path)
-    if fmt in ("csv", "both") and csv_files:
-        for name, content in csv_files.items():
+    for name, content in files.items():
+        if args.format != "json" or not name.endswith(".csv"):
             path = out_dir / name
             path.write_text(content)
             written.append(path)
-    for name, content in (extra_files or {}).items():
-        path = out_dir / name
-        path.write_text(content)
-        written.append(path)
     for path in written:
         print(f"wrote {path}")
 
 
-def _fit_summary_lines(fit: FitResult) -> list[str]:
-    lines = []
+def _fit_and_print(
+    points: list[ScanPoint], config: ExperimentConfig, fit_center: bool
+) -> tuple[FitResult | None, str | None]:
+    """Fit the dip and print its summary; (None, reason) on a failed precondition."""
+    try:
+        fit = fit_dip(points, config.splitter, fit_center=fit_center)
+    except ValueError as exc:
+        print(f"fit failed: {exc}")
+        return None, str(exc)
     for name, est, err in fit.parameters:
         digits = 3 if name == "baseline" else 4
-        lines.append(f"{name:<12}{est:.{digits}f} +/- {err:.{digits}f}")
-    lines.append(
-        f"chi2/dof    {fit.chi_squared:.2f}/{fit.dof}"
-        f"   converged={fit.converged} iterations={fit.iterations}"
-    )
+        print(f"{name:<12}{est:.{digits}f} +/- {err:.{digits}f}")
+    print(f"chi2/dof    {fit.chi_squared:.2f}/{fit.dof}"
+          f"   converged={fit.converged} iterations={fit.iterations}")
     if fit.degenerate:
-        lines.append(f"degenerate  {fit.message}")
-    return lines
+        print(f"degenerate  {fit.message}")
+    return fit, None
+
+
+def _fit_holds(fit: FitResult | None) -> bool:
+    """Whether the fit exists, converged and is not degenerate; every
+    fitting subcommand exits 3 when it does not."""
+    return fit is not None and fit.converged and not fit.degenerate
 
 
 def _analytic_block(config: ExperimentConfig) -> dict[str, Any]:
@@ -198,9 +200,15 @@ def _analytic_block(config: ExperimentConfig) -> dict[str, Any]:
     return block
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    config = _build_config(args)
+# What a subcommand hands back to `main`: exit code, the config it used,
+# the report's data and analytic blocks (data None: write no files), and
+# the files to write by name.
+_Outcome = tuple[
+    int, ExperimentConfig, dict[str, Any] | None, dict[str, Any], dict[str, str]
+]
+
+
+def cmd_predict(args: argparse.Namespace, config: ExperimentConfig) -> _Outcome:
     analytic = _analytic_block(config)
     overlap_i = indistinguishability(config.delay_ps, config.wavepacket.sigma_ps)
     kappa = amplitude_overlap(config.delay_ps, config.wavepacket.sigma_ps)
@@ -237,23 +245,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
             print(f"  {name:<24} {value:.6g}")
         else:
             print(f"  {name:<24} {value}")
-    report = reporting.build_report(
-        kind="predict",
-        config=config,
-        seed=None,
-        data={"gate_pattern": pattern},
-        analytic=analytic,
-        wall_seconds=round(time.perf_counter() - t0, 3),
-    )
-    _emit(args, report, {"predict.csv": reporting.table_csv(
-        ("quantity", "value"), rows
-    )})
-    return EXIT_OK
+    files = {"predict.csv": reporting.table_csv(("quantity", "value"), rows)}
+    return EXIT_OK, config, {"gate_pattern": pattern}, analytic, files
 
 
-def cmd_calibrate(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    config = _build_config(args)
+def cmd_calibrate(args: argparse.Namespace, config: ExperimentConfig) -> _Outcome:
     budget = budget_from_config(config)
     eta_star = calibrate_eta(
         args.target_visibility,
@@ -261,36 +257,24 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         budget.dark_prob,
         budget.extinction_ratio,
     )
-    achieved = visibility_prediction(
-        VisibilityBudget(
-            budget.pairs_per_pulse, eta_star, budget.dark_prob,
-            budget.extinction_ratio,
-        )
-    )
     calibrated = replace(
         config,
         channel_s=replace(config.channel_s, transmittance=eta_star),
         channel_i=replace(config.channel_i, transmittance=eta_star),
     )
+    analytic = _analytic_block(calibrated)
+    achieved = analytic["visibility_budget"]
     print(f"eta* = {eta_star:.9g}")
     print(f"visibility at eta*: {achieved:.9f} (target {args.target_visibility})")
-    report = reporting.build_report(
-        kind="calibrate",
-        config=calibrated,
-        seed=None,
-        data={
-            "eta_star": eta_star,
-            "target_visibility": args.target_visibility,
-            "achieved_visibility": achieved,
-        },
-        analytic=_analytic_block(calibrated),
-        wall_seconds=round(time.perf_counter() - t0, 3),
-    )
+    data = {
+        "eta_star": eta_star,
+        "target_visibility": args.target_visibility,
+        "achieved_visibility": achieved,
+    }
     config_json = json.dumps(
         configio.config_to_schema_dict(calibrated), indent=2, sort_keys=True
     ) + "\n"
-    _emit(args, report, extra_files={"calibrated_config.json": config_json})
-    return EXIT_OK
+    return EXIT_OK, calibrated, data, analytic, {"calibrated_config.json": config_json}
 
 
 def _aggregate_repeats(
@@ -318,9 +302,7 @@ def _aggregate_repeats(
     return totals, stats
 
 
-def cmd_dip_scan(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    config = _build_config(args)
+def cmd_dip_scan(args: argparse.Namespace, config: ExperimentConfig) -> _Outcome:
     delays = _delay_grid(args)
     if args.repeats < 1:
         raise ValueError(f"--repeats must be >= 1 (got {args.repeats})")
@@ -337,19 +319,8 @@ def cmd_dip_scan(args: argparse.Namespace) -> int:
         for seed in seeds
     ]
     points, stats = _aggregate_repeats(scans)
-
-    fit: FitResult | None = None
-    fit_error: str | None = None
-    try:
-        fit = fit_dip(points, config.splitter, fit_center=args.fit_center)
-    except ValueError as exc:
-        fit_error = str(exc)
-
-    if fit is not None:
-        for line in _fit_summary_lines(fit):
-            print(line)
-    else:
-        print(f"fit failed: {fit_error}")
+    repeat_stats = stats if args.repeats > 1 else None
+    fit, fit_error = _fit_and_print(points, config, args.fit_center)
 
     data: dict[str, Any] = {
         "delays_ps": delays,
@@ -357,40 +328,29 @@ def cmd_dip_scan(args: argparse.Namespace) -> int:
         "repeats": args.repeats,
         "sampler": args.sampler,
         "points": [reporting.point_to_dict(pt) for pt in points],
-        "repeat_stats": [list(s) for s in stats] if args.repeats > 1 else None,
+        "repeat_stats": repeat_stats,
         "fit": reporting.fit_to_dict(fit) if fit is not None else None,
         "fit_error": fit_error,
     }
-    report = reporting.build_report(
-        kind="dip-scan",
-        config=config,
-        seed=args.seed,
-        data=data,
-        analytic=_analytic_block(config),
-        wall_seconds=round(time.perf_counter() - t0, 3),
-    )
-    csv_text = reporting.points_csv(
-        points, repeat_stats=stats if args.repeats > 1 else None
-    )
-    _emit(args, report, {"points.csv": csv_text})
-    if fit is None or not fit.converged:
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    code = EXIT_OK if _fit_holds(fit) else EXIT_NO_CONVERGENCE
+    csv_text = reporting.points_csv(points, repeat_stats=repeat_stats)
+    return code, config, data, _analytic_block(config), {"points.csv": csv_text}
 
 
-def cmd_visibility_sweep(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    config = _build_config(args)
+def cmd_visibility_sweep(
+    args: argparse.Namespace, config: ExperimentConfig
+) -> _Outcome:
     delays = _delay_grid(args)
     rows = run_visibility_sweep(
         config, args.pairs, args.gates, args.seed,
         delays=delays, sampler=args.sampler,
     )
 
+    print("pairs_per_pulse  visibility_fit           visibility_predicted")
     table_rows: list[dict[str, Any]] = []
     report_rows: list[dict[str, Any]] = []
-    any_failure = False
     for row in rows:
+        fit = row.fit
         entry: dict[str, Any] = {
             "pairs_per_pulse": row.pairs_per_pulse,
             "visibility_predicted": row.predicted_visibility,
@@ -400,61 +360,41 @@ def cmd_visibility_sweep(args: argparse.Namespace) -> int:
             "sigma_fit_ps": None,
             "sigma_err_ps": None,
         }
-        if row.fit is not None:
+        fitted = "(fit failed)"
+        if fit is not None:
             entry.update(
-                converged=row.fit.converged,
-                visibility_fit=row.fit.params.visibility,
-                visibility_err=reporting.defined(row.fit.visibility_error),
-                sigma_fit_ps=row.fit.params.sigma_ps,
-                sigma_err_ps=reporting.defined(row.fit.sigma_error),
+                converged=fit.converged,
+                visibility_fit=fit.visibility,
+                visibility_err=reporting.defined(fit.visibility_error),
+                sigma_fit_ps=fit.sigma_ps,
+                sigma_err_ps=reporting.defined(fit.sigma_error),
             )
-            if not row.fit.converged:
-                any_failure = True
-        else:
-            any_failure = True
+            fitted = f"{fit.visibility:.4f} +/- {fit.visibility_error:.4f}"
+        print(f"{row.pairs_per_pulse:<16.4g} {fitted:<24} "
+              f"{row.predicted_visibility:.4f}")
         table_rows.append(entry)
         report_rows.append(
             {
                 **entry,
                 "error": row.error,
-                "fit": reporting.fit_to_dict(row.fit) if row.fit else None,
+                "fit": reporting.fit_to_dict(fit) if fit is not None else None,
                 "points": [reporting.point_to_dict(pt) for pt in row.scan],
             }
         )
 
-    print("pairs_per_pulse  visibility_fit           visibility_predicted")
-    for entry in table_rows:
-        if entry["visibility_fit"] is None:
-            fitted = "(fit failed)"
-        else:
-            err = entry["visibility_err"]  # None when the fit is degenerate
-            fitted = (f"{entry['visibility_fit']:.4f} +/- "
-                      f"{math.nan if err is None else err:.4f}")
-        print(
-            f"{entry['pairs_per_pulse']:<16.4g} {fitted:<24} "
-            f"{entry['visibility_predicted']:.4f}"
-        )
-
-    report = reporting.build_report(
-        kind="visibility-sweep",
-        config=config,
-        seed=args.seed,
-        data={
-            "gates_per_point": args.gates,
-            "delays_ps": delays,
-            "sampler": args.sampler,
-            "rows": report_rows,
-        },
-        analytic=_analytic_block(config),
-        wall_seconds=round(time.perf_counter() - t0, 3),
-    )
-    _emit(args, report, {"sweep.csv": reporting.sweep_csv(table_rows)})
-    return EXIT_NO_CONVERGENCE if any_failure else EXIT_OK
+    data = {
+        "gates_per_point": args.gates,
+        "delays_ps": delays,
+        "sampler": args.sampler,
+        "rows": report_rows,
+    }
+    code = (EXIT_OK if all(_fit_holds(row.fit) for row in rows)
+            else EXIT_NO_CONVERGENCE)
+    csv_text = reporting.sweep_csv(table_rows)
+    return code, config, data, _analytic_block(config), {"sweep.csv": csv_text}
 
 
-def cmd_car(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    config = _build_config(args)
+def cmd_car(args: argparse.Namespace, config: ExperimentConfig) -> _Outcome:
     sigma = config.wavepacket.sigma_ps
     auto_offset = abs(config.delay_ps) < 10.0 * sigma
     if auto_offset:
@@ -476,63 +416,41 @@ def cmd_car(args: argparse.Namespace) -> int:
         print(f"note: delay auto-offset to {config.delay_ps} ps (10 sigma) "
               f"to park the run off the dip")
 
-    report = reporting.build_report(
-        kind="car",
-        config=config,
-        seed=args.seed,
-        data={
-            "car": result.car,
-            "p_estimate": result.p_estimate,
-            "matched_coincidences": result.matched_coincidences,
-            "unmatched_coincidences": list(result.unmatched_coincidences),
-            "offsets_gates": list(range(1, args.offsets + 1)),
-            "gates": result.gates,
-            "singles_a": result.singles_a,
-            "singles_b": result.singles_b,
-            "delay_auto_offset": auto_offset,
-            "delay_ps_used": config.delay_ps,
-        },
-        analytic=analytic,
-        wall_seconds=round(time.perf_counter() - t0, 3),
-    )
+    data = {
+        "car": result.car,
+        "p_estimate": result.p_estimate,
+        "matched_coincidences": result.matched_coincidences,
+        "unmatched_coincidences": list(result.unmatched_coincidences),
+        "offsets_gates": list(range(1, args.offsets + 1)),
+        "gates": result.gates,
+        "singles_a": result.singles_a,
+        "singles_b": result.singles_b,
+        "delay_auto_offset": auto_offset,
+        "delay_ps_used": config.delay_ps,
+    }
     csv_text = reporting.car_offsets_csv(
         result.matched_coincidences, result.unmatched_coincidences
     )
-    _emit(args, report, {"car_offsets.csv": csv_text})
-    return EXIT_OK
+    return EXIT_OK, config, data, analytic, {"car_offsets.csv": csv_text}
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    config = _build_config(args)
+def cmd_fit(args: argparse.Namespace, config: ExperimentConfig) -> _Outcome:
     points = reporting.read_points_csv(args.csv)
-    try:
-        fit = fit_dip(points, config.splitter, fit_center=args.fit_center)
-    except ValueError as exc:
-        print(f"fit failed: {exc}")
-        return EXIT_NO_CONVERGENCE
-    for line in _fit_summary_lines(fit):
-        print(line)
-
-    report = reporting.build_report(
-        kind="fit",
-        config=config,
-        seed=None,
-        data={
-            "source_csv": str(args.csv),
-            "points": [reporting.point_to_dict(pt) for pt in points],
-            "fit": reporting.fit_to_dict(fit),
-        },
-        analytic={"dip_factor": splitter_dip_factor(config.splitter)},
-        wall_seconds=round(time.perf_counter() - t0, 3),
-    )
-    _emit(args, report, {"fit.csv": reporting.table_csv(
+    fit, _ = _fit_and_print(points, config, args.fit_center)
+    if fit is None:  # nothing to report; the reason is on stdout
+        return EXIT_NO_CONVERGENCE, config, None, {}, {}
+    data = {
+        "source_csv": str(args.csv),
+        "points": [reporting.point_to_dict(pt) for pt in points],
+        "fit": reporting.fit_to_dict(fit),
+    }
+    csv_text = reporting.table_csv(
         ("parameter", "estimate", "std_error"),
         [(name, est, reporting.defined(err)) for name, est, err in fit.parameters],
-    )})
-    if fit.degenerate or not fit.converged:
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    )
+    code = EXIT_OK if _fit_holds(fit) else EXIT_NO_CONVERGENCE
+    analytic = {"dip_factor": splitter_dip_factor(config.splitter)}
+    return code, config, data, analytic, {"fit.csv": csv_text}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -629,10 +547,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        code, config, data, analytic, files = args.func(args, _build_config(args))
+        if data is not None:
+            report = reporting.build_report(
+                kind=args.command,
+                config=config,
+                seed=getattr(args, "seed", None),
+                data=data,
+                analytic=analytic,
+                wall_seconds=round(time.perf_counter() - t0, 3),
+            )
+            _emit(args, report, files)
+        return code
     except ConfigError as exc:
         for problem in exc.errors:
             print(f"config error: {problem}", file=sys.stderr)

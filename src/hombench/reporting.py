@@ -56,13 +56,7 @@ def fit_to_dict(fit: FitResult) -> dict[str, Any]:
 
 
 def point_to_dict(point: ScanPoint) -> dict[str, Any]:
-    return {
-        "delay_ps": point.delay_ps,
-        "gates": point.gates,
-        "singles_a": point.singles_a,
-        "singles_b": point.singles_b,
-        "coincidences": point.coincidences,
-    }
+    return {column: getattr(point, column) for column in POINT_COLUMNS}
 
 
 def build_report(
@@ -70,8 +64,8 @@ def build_report(
     config: ExperimentConfig,
     seed: int | None,
     data: Mapping[str, Any],
-    analytic: Mapping[str, Any] | None = None,
-    wall_seconds: float = 0.0,
+    analytic: Mapping[str, Any],
+    wall_seconds: float,
 ) -> dict[str, Any]:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -79,7 +73,7 @@ def build_report(
         "kind": kind,
         "seed": seed,
         "config": config_to_schema_dict(config),
-        "analytic": dict(analytic) if analytic is not None else {},
+        "analytic": dict(analytic),
         "data": dict(data),
         "wall_seconds": wall_seconds,
     }
@@ -122,10 +116,7 @@ def points_csv(
     """
     if repeat_stats is not None and len(repeat_stats) != len(points):
         raise ValueError("repeat_stats length must match points")
-    rows = [
-        [pt.delay_ps, pt.gates, pt.singles_a, pt.singles_b, pt.coincidences]
-        for pt in points
-    ]
+    rows = [list(point_to_dict(pt).values()) for pt in points]
     if repeat_stats is None:
         return table_csv(POINT_COLUMNS, rows)
     for row, (mean, stddev) in zip(rows, repeat_stats):
@@ -154,16 +145,11 @@ def read_points_csv(path: str | Path) -> list[ScanPoint]:
         points = []
         for line, row in enumerate(reader, start=2):
             try:
-                points.append(
-                    ScanPoint(
-                        delay_ps=float(row["delay_ps"]),
-                        gates=int(float(row["gates"])),
-                        coincidences=int(float(row["coincidences"])),
-                        singles_a=int(float(row["singles_a"])),
-                        singles_b=int(float(row["singles_b"])),
-                    )
-                )
-            except (TypeError, ValueError) as exc:
+                cells = {c: float(row[c]) for c in POINT_COLUMNS}
+                points.append(ScanPoint(**{
+                    c: v if c == "delay_ps" else int(v) for c, v in cells.items()
+                }))
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}: bad row at line {line}: {exc}") from exc
     if not points:
         raise ValueError(f"{path}: no data rows")

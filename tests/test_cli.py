@@ -6,8 +6,8 @@ import math
 import pytest
 
 from conftest import run_cli
-from hombench import load_config
-from hombench.reporting import read_points_csv
+from hombench import load_config, run_dip_scan
+from hombench.reporting import points_csv, read_points_csv
 
 BOOST = ["--eta", "0.2", "--pairs-per-pulse", "0.05"]
 
@@ -174,6 +174,21 @@ class TestDipScan:
         report = read_json(out / "report.json")
         assert report["data"]["fit"] is None
         assert report["data"]["fit_error"]
+
+    def test_degenerate_fit_exits_no_convergence(self, tmp_path):
+        # Five delays within 0.3 ps and a free center: the fit converges
+        # with a singular normal matrix, which exits 3 as in `fit`.
+        out = tmp_path / "run"
+        proc = run_cli(
+            "dip-scan", *BOOST, "--gates", "1e4", "--seed", "2",
+            "--delay-min", "0", "--delay-max", "0.3", "--delay-steps", "5",
+            "--fit-center", "--out", str(out),
+        )
+        assert proc.returncode == 3
+        assert "+/- nan" in proc.stdout
+        assert "degenerate  " in proc.stdout
+        fit = read_json(out / "report.json")["data"]["fit"]
+        assert fit["converged"] is True and fit["degenerate"] is True
 
     def test_format_selection(self, tmp_path):
         csv_only = tmp_path / "csv_only"
@@ -369,7 +384,7 @@ class TestVisibilitySweep:
             "--gates", "1e4", "--seed", "0", "--delay-min", "0",
             "--delay-max", "0.3", "--delay-steps", "4", "--out", str(out),
         )
-        assert proc.returncode == 0
+        assert proc.returncode == 3
         assert "+/- nan" in proc.stdout
         (row,) = read_json(out / "report.json")["data"]["rows"]
         assert row["fit"]["degenerate"] is True
@@ -377,6 +392,22 @@ class TestVisibilitySweep:
         assert row["fit"]["std_errors"] == [None] * 3
         line = (out / "sweep.csv").read_text().splitlines()[1].split(",")
         assert line[2] == line[4] == ""
+
+    def test_runaway_width_exits_no_convergence_without_a_traceback(self, tmp_path):
+        # The same narrow grid at 1e5 gates: LM steps push sigma far past
+        # the scan, which once overflowed math.exp in the fit.
+        out = tmp_path / "run"
+        proc = run_cli(
+            "visibility-sweep", "--eta", "0.2", "--pairs", "0.05",
+            "--gates", "1e5", "--seed", "0", "--delay-min", "0",
+            "--delay-max", "0.3", "--delay-steps", "4", "--out", str(out),
+        )
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert "+/- nan" in proc.stdout
+        (row,) = read_json(out / "report.json")["data"]["rows"]
+        assert row["fit"]["degenerate"] is True
+        assert math.isfinite(row["sigma_fit_ps"])
 
     def test_empty_pair_list_is_a_usage_error(self):
         proc = run_cli("visibility-sweep", "--pairs", "")
@@ -388,3 +419,43 @@ class TestVisibilitySweep:
             "--seed", "1", "--out", str(tmp_path / "run"),
         )
         assert proc.returncode == 3
+
+
+# One envelope for every subcommand: (command, extra args, seed in the
+# report, CSVs that follow --format, files written whatever --format).
+ENVELOPES = [
+    ("predict", (), None, {"predict.csv"}, set()),
+    ("calibrate", (), None, set(), {"calibrated_config.json"}),
+    ("dip-scan", (*BOOST, "--gates", "2e4", "--seed", "5", "--delay-steps", "9"),
+     5, {"points.csv"}, set()),
+    ("visibility-sweep", ("--eta", "0.2", "--pairs", "0.02,0.05", "--gates", "2e5",
+                          "--seed", "3"), 3, {"sweep.csv"}, set()),
+    ("car", (*TestCar.CAR_FLAGS, "--gates", "5e6", "--seed", "4"),
+     4, {"car_offsets.csv"}, set()),
+    ("fit", (*BOOST,), None, {"fit.csv"}, set()),
+]
+
+
+@pytest.mark.parametrize(
+    "command, extra, seed, csvs, always", ENVELOPES, ids=[e[0] for e in ENVELOPES]
+)
+def test_every_subcommand_writes_one_envelope(
+    tmp_path, command, extra, seed, csvs, always
+):
+    if command == "fit":
+        delays = [-6.0 + 1.5 * i for i in range(9)]
+        cfg = load_config(None, {"eta_signal": 0.2, "eta_idler": 0.2,
+                                 "pairs_per_pulse": 0.05})
+        source = tmp_path / "points.csv"
+        source.write_text(points_csv(run_dip_scan(cfg, delays, 20000, 5)))
+        extra = (str(source), *extra)
+    for fmt, expected in (("json", {"report.json"}), ("csv", csvs)):
+        out = tmp_path / fmt
+        proc = run_cli(command, *extra, "--format", fmt, "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert {p.name for p in out.iterdir()} == expected | always
+    report = read_json(tmp_path / "json" / "report.json")
+    assert set(report) == {"schema_version", "tool", "kind", "seed", "config",
+                           "analytic", "data", "wall_seconds"}
+    assert report["kind"] == command
+    assert report["seed"] == seed

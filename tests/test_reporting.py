@@ -40,3 +40,27 @@ def test_table_none_is_an_empty_cell():
 def test_table_refuses_non_finite_floats(bad):
     with pytest.raises(ValueError, match="non-finite"):
         reporting.table_csv(("name", "x"), [("a", bad)])
+
+
+@pytest.mark.parametrize("stats", [None, [(2.5, 0.5), (3.0, 1.0)]])
+def test_points_round_trip_keeps_every_column(tmp_path, stats):
+    # Distinct values per column, so a swapped column cannot round-trip.
+    points = [ScanPoint(-1.5, 1000, 5, 20, 30), ScanPoint(0.25, 2000, 6, 21, 31)]
+    path = tmp_path / "points.csv"
+    path.write_text(reporting.points_csv(points, repeat_stats=stats))
+    assert reporting.read_points_csv(path) == points
+    assert [reporting.point_to_dict(pt) for pt in points][0] == {
+        "delay_ps": -1.5, "gates": 1000, "coincidences": 5,
+        "singles_a": 20, "singles_b": 30,
+    }
+
+
+@pytest.mark.parametrize("cell", ["inf", "1e400", "nan", "many"])
+def test_unreadable_count_is_a_bad_row(tmp_path, cell):
+    path = tmp_path / "points.csv"
+    path.write_text(
+        "delay_ps,gates,singles_a,singles_b,coincidences\n"
+        f"0.0,{cell},1,2,3\n"
+    )
+    with pytest.raises(ValueError, match="bad row at line 2"):
+        reporting.read_points_csv(path)
