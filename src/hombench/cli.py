@@ -201,11 +201,8 @@ def _analytic_block(config: ExperimentConfig) -> dict[str, Any]:
 
 
 # What a subcommand hands back to `main`: exit code, the config it used,
-# the report's data and analytic blocks (data None: write no files), and
-# the files to write by name.
-_Outcome = tuple[
-    int, ExperimentConfig, dict[str, Any] | None, dict[str, Any], dict[str, str]
-]
+# the report's data and analytic blocks, and the files to write by name.
+_Outcome = tuple[int, ExperimentConfig, dict[str, Any], dict[str, Any], dict[str, str]]
 
 
 def cmd_predict(args: argparse.Namespace, config: ExperimentConfig) -> _Outcome:
@@ -436,20 +433,21 @@ def cmd_car(args: argparse.Namespace, config: ExperimentConfig) -> _Outcome:
 
 def cmd_fit(args: argparse.Namespace, config: ExperimentConfig) -> _Outcome:
     points = reporting.read_points_csv(args.csv)
-    fit, _ = _fit_and_print(points, config, args.fit_center)
-    if fit is None:  # nothing to report; the reason is on stdout
-        return EXIT_NO_CONVERGENCE, config, None, {}, {}
-    data = {
+    fit, fit_error = _fit_and_print(points, config, args.fit_center)
+    data: dict[str, Any] = {
         "source_csv": str(args.csv),
         "points": [reporting.point_to_dict(pt) for pt in points],
-        "fit": reporting.fit_to_dict(fit),
     }
+    analytic = {"dip_factor": splitter_dip_factor(config.splitter)}
+    if fit is None:
+        data.update(fit=None, fit_error=fit_error)
+        return EXIT_NO_CONVERGENCE, config, data, analytic, {}
+    data["fit"] = reporting.fit_to_dict(fit)
     csv_text = reporting.table_csv(
         ("parameter", "estimate", "std_error"),
         [(name, est, reporting.defined(err)) for name, est, err in fit.parameters],
     )
     code = EXIT_OK if _fit_holds(fit) else EXIT_NO_CONVERGENCE
-    analytic = {"dip_factor": splitter_dip_factor(config.splitter)}
     return code, config, data, analytic, {"fit.csv": csv_text}
 
 
@@ -551,16 +549,15 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         code, config, data, analytic, files = args.func(args, _build_config(args))
-        if data is not None:
-            report = reporting.build_report(
-                kind=args.command,
-                config=config,
-                seed=getattr(args, "seed", None),
-                data=data,
-                analytic=analytic,
-                wall_seconds=round(time.perf_counter() - t0, 3),
-            )
-            _emit(args, report, files)
+        report = reporting.build_report(
+            kind=args.command,
+            config=config,
+            seed=getattr(args, "seed", None),
+            data=data,
+            analytic=analytic,
+            wall_seconds=round(time.perf_counter() - t0, 3),
+        )
+        _emit(args, report, files)
         return code
     except ConfigError as exc:
         for problem in exc.errors:

@@ -298,10 +298,12 @@ def fit_dip(
     splitter imbalance factor is fixed from its measured T and R. The
     visibility is box-constrained to [0, 1.02] (slight overshoot allowed
     so near-unity estimates are not biased by clipping) and sigma is kept
-    positive through an internal log parameterization. Sigma is capped at
-    1e3 times the largest |delay|: a dip that much wider than the scan is
-    flat on it, so the cap only stops a runaway trial step from
-    overflowing, and a fit that ends on it found no width on this scan.
+    positive through an internal log parameterization. Sigma is kept
+    within 1e-3 to 1e3 times the largest |delay|: a dip that much wider
+    than the scan is flat on it, and one that much narrower falls between
+    its points, so the bounds only stop a runaway trial step from
+    overflowing or collapsing to zero, and a fit that ends on one found
+    no width on this scan.
 
     Preconditions: at least four points (five with a fitted center), and
     at least one point beyond twice the initial sigma so the baseline is
@@ -330,6 +332,7 @@ def fit_dip(
     n_params = 4 if fit_center else 3
     # Positive: the leverage check above found some |delay| > 0.
     log_sigma_max = math.log(1e3 * float(np.abs(delays).max()))
+    log_sigma_min = log_sigma_max - math.log(1e6)
 
     # Internal parameterization: (baseline, visibility, log sigma[, center]).
     def to_external(th: np.ndarray) -> tuple[float, float, float, float]:
@@ -350,7 +353,7 @@ def fit_dip(
         out = th.copy()
         out[0] = max(out[0], 0.0)
         out[1] = min(max(out[1], 0.0), 1.02)
-        out[2] = min(out[2], log_sigma_max)
+        out[2] = min(max(out[2], log_sigma_min), log_sigma_max)
         return out
 
     theta0 = [theta_ext[0], theta_ext[1], math.log(theta_ext[2])]

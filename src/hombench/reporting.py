@@ -129,7 +129,7 @@ def read_points_csv(path: str | Path) -> list[ScanPoint]:
 
     Used by the `fit` subcommand, so external data only needs the five
     required columns (extras beyond the schema are rejected to catch
-    header typos).
+    header typos). Delays must be finite, counts whole numbers >= 0.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -146,9 +146,13 @@ def read_points_csv(path: str | Path) -> list[ScanPoint]:
         for line, row in enumerate(reader, start=2):
             try:
                 cells = {c: float(row[c]) for c in POINT_COLUMNS}
-                points.append(ScanPoint(**{
-                    c: v if c == "delay_ps" else int(v) for c, v in cells.items()
-                }))
+                if not math.isfinite(cells["delay_ps"]):
+                    raise ValueError(f"delay_ps is not finite: {row['delay_ps']!r}")
+                counts = {c: int(v) for c, v in cells.items() if c != "delay_ps"}
+                bad = [c for c, n in counts.items() if n != cells[c] or n < 0]
+                if bad:
+                    raise ValueError(f"not a whole number >= 0: {', '.join(bad)}")
+                points.append(ScanPoint(delay_ps=cells["delay_ps"], **counts))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}: bad row at line {line}: {exc}") from exc
     if not points:

@@ -559,7 +559,9 @@ def run_car(
     are drawn from the per-slot pmf, and the clicking gates are an exact
     uniform k-subset of the batch from numpy's `Generator.choice(...,
     replace=False)` in random order (gate outcomes are exchangeable).
-    Sparse batches cost only the clicks they produce.
+    Sparse batches cost only the clicks they produce. Offsets are counted
+    batch by batch, with the A clicks of the previous n_offset_slots gates
+    carried in, so memory is O(batch) however many gates the run has.
 
     See `_car_pattern_distribution` for the detection geometry and the
     per-slot dark-count convention.
@@ -592,31 +594,24 @@ def run_car(
         )
 
     base = _as_seedseq(seed)
-    matched = 0
-    singles_a = 0
-    singles_b = 0
-    a_chunks: list[np.ndarray] = []
-    b_chunks: list[np.ndarray] = []
+    counts = np.zeros(4, dtype=np.int64)
+    hist = np.zeros(n_offset_slots, dtype=np.int64)
+    carry = np.zeros(0, dtype=np.int64)  # A clicks within reach of the batch
     for batch, start, size in _batches(gates, _CAR_BATCH):
         rng = _rng(_child(base, batch))
         c = rng.multinomial(size, pmf)
-        clicking = int(c[_P01] + c[_P10] + c[_P11])
+        counts += c
         # Shuffled, so the split into both / A only / B only is uniform.
-        pos = rng.choice(size, clicking, replace=False) + start
-        both = pos[: c[_P11]]
-        a_only = pos[c[_P11]: c[_P11] + c[_P10]]
-        b_only = pos[c[_P11] + c[_P10]:]
-        a_chunks.extend((both, a_only))
-        b_chunks.extend((both, b_only))
-        matched += int(c[_P11])
-        singles_a += int(c[_P10] + c[_P11])
-        singles_b += int(c[_P01] + c[_P11])
+        pos = rng.choice(size, c[_P01] + c[_P10] + c[_P11], replace=False) + start
+        n_a = c[_P11] + c[_P10]
+        a = np.concatenate((carry, np.sort(pos[:n_a])))
+        b = np.sort(np.concatenate((pos[:c[_P11]], pos[n_a:])))
+        # Each pair is counted in the batch that holds its B click.
+        hist += _offset_counts(a, b, n_offset_slots)
+        carry = a[a >= start + size - n_offset_slots]
 
-    unmatched = [int(c) for c in _offset_counts(
-        np.sort(np.concatenate(a_chunks)),
-        np.sort(np.concatenate(b_chunks)),
-        n_offset_slots,
-    )]
+    matched = int(counts[_P11])
+    unmatched = [int(k) for k in hist]
     total_unmatched = sum(unmatched)
     if total_unmatched == 0:
         raise InsufficientStatisticsError(
@@ -642,8 +637,8 @@ def run_car(
         car=car,
         p_estimate=p_estimate,
         gates=gates,
-        singles_a=singles_a,
-        singles_b=singles_b,
+        singles_a=int(counts[_P10] + counts[_P11]),
+        singles_b=int(counts[_P01] + counts[_P11]),
     )
 
 

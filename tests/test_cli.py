@@ -190,6 +190,19 @@ class TestDipScan:
         fit = read_json(out / "report.json")["data"]["fit"]
         assert fit["converged"] is True and fit["degenerate"] is True
 
+    def test_collapsing_width_exits_no_convergence_without_warnings(self):
+        # Four delays within 0.3 ps: a trial step drives sigma towards 0,
+        # and the floor at 1e-3 x the largest |delay| holds it there.
+        proc = run_cli(
+            "dip-scan", "--eta", "0.2", "--pairs-per-pulse", "0.03",
+            "--gates", "1e6", "--seed", "3",
+            "--delay-min", "0", "--delay-max", "0.3", "--delay-steps", "4",
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == ""
+        assert "sigma_ps    0.0003 +/- nan" in proc.stdout
+        assert "degenerate  " in proc.stdout
+
     def test_format_selection(self, tmp_path):
         csv_only = tmp_path / "csv_only"
         proc = run_cli(
@@ -262,6 +275,25 @@ class TestFitSubcommand:
         proc = run_cli("fit", str(scan_out / "points.csv"))
         assert proc.returncode == 3
         assert f"fit failed: {reason}" in proc.stdout
+
+    def test_failed_precondition_still_writes_the_report(self, tmp_path):
+        csv_path = tmp_path / "three.csv"
+        csv_path.write_text(
+            "delay_ps,gates,singles_a,singles_b,coincidences\n"
+            "-6.0,1000000,0,0,50\n0.0,1000000,0,0,5\n6.0,1000000,0,0,50\n"
+        )
+        out = tmp_path / "fit"
+        proc = run_cli("fit", str(csv_path), "--out", str(out))
+        assert proc.returncode == 3
+        assert "fit failed: need at least 4 points" in proc.stdout
+        assert {p.name for p in out.iterdir()} == {"report.json"}
+        report = read_json(out / "report.json")
+        assert set(report) == {"schema_version", "tool", "kind", "seed", "config",
+                               "analytic", "data", "wall_seconds"}
+        assert report["kind"] == "fit"
+        assert report["data"]["fit"] is None
+        assert report["data"]["fit_error"].startswith("need at least 4 points")
+        assert len(report["data"]["points"]) == 3
 
     def test_degenerate_fit_exits_no_convergence(self, tmp_path):
         # Four points within 0.3 ps: the fit converges onto a width pinned

@@ -55,7 +55,7 @@ def test_points_round_trip_keeps_every_column(tmp_path, stats):
     }
 
 
-@pytest.mark.parametrize("cell", ["inf", "1e400", "nan", "many"])
+@pytest.mark.parametrize("cell", ["inf", "1e400", "nan", "many", "50.9", "-100"])
 def test_unreadable_count_is_a_bad_row(tmp_path, cell):
     path = tmp_path / "points.csv"
     path.write_text(
@@ -64,3 +64,31 @@ def test_unreadable_count_is_a_bad_row(tmp_path, cell):
     )
     with pytest.raises(ValueError, match="bad row at line 2"):
         reporting.read_points_csv(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_non_finite_delay_is_a_bad_row(tmp_path, cell):
+    # points_csv refuses to write such a point, so it is no input either.
+    path = tmp_path / "points.csv"
+    path.write_text(
+        "delay_ps,gates,singles_a,singles_b,coincidences\n"
+        f"{cell},10,1,2,3\n"
+    )
+    with pytest.raises(ValueError, match="bad row at line 2: delay_ps"):
+        reporting.read_points_csv(path)
+
+
+@pytest.mark.parametrize("column", reporting.POINT_COLUMNS[1:])
+def test_every_count_column_holds_a_whole_number(tmp_path, column):
+    path = tmp_path / "points.csv"
+    header = ",".join(reporting.POINT_COLUMNS)
+    for cell in ("-40", "10.99"):
+        cells = {"delay_ps": "0.0", "gates": "100", "singles_a": "1",
+                 "singles_b": "2", "coincidences": "3", column: cell}
+        row = ",".join(cells[c] for c in reporting.POINT_COLUMNS)
+        path.write_text(f"{header}\n1.5,1e6,20.0,30,5\n{row}\n")
+        with pytest.raises(ValueError, match=f"bad row at line 3: .*{column}"):
+            reporting.read_points_csv(path)
+    # Whole numbers in float notation are counts.
+    path.write_text(f"{header}\n1.5,1e6,20.0,30,5\n")
+    assert reporting.read_points_csv(path)[0].gates == 1_000_000

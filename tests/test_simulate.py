@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -404,6 +405,51 @@ class TestRunCar:
             1.0 / result.matched_coincidences + 1.0 / accidentals
         )
         assert abs(result.car - exact) <= 5.0 * sigma
+
+    @pytest.mark.parametrize("batch", [7, 1000, None])
+    @pytest.mark.parametrize("k_max", [1, 10, 2500])
+    def test_batched_offsets_match_a_whole_run_count(
+        self, symmetric_cfg, monkeypatch, batch, k_max
+    ):
+        # Offsets longer than a batch carry A clicks over many batches.
+        if batch is None:
+            cfg = symmetric_cfg(0.05, 0.2, 1e-4, delay_ps=60.0)
+            gates = simulate._CAR_BATCH + 10**5
+        else:
+            monkeypatch.setattr(simulate, "_CAR_BATCH", batch)
+            cfg = symmetric_cfg(2.0, 1.0, 1e-4, delay_ps=60.0)
+            gates = 6000
+        result = run_car(cfg, gates, n_offset_slots=k_max, seed=5)
+
+        # The whole-run count: the same batch streams, every click of the
+        # run kept and sorted, one intersection per offset.
+        pmf = _car_pattern_distribution(cfg)
+        base = np.random.SeedSequence(5)
+        a_chunks, b_chunks = [], []
+        for index, start, size in simulate._batches(gates, simulate._CAR_BATCH):
+            rng = simulate._rng(simulate._child(base, index))
+            c = rng.multinomial(size, pmf)
+            pos = rng.choice(size, c[1:].sum(), replace=False) + start
+            a_chunks.append(pos[:c[3] + c[2]])
+            b_chunks += [pos[:c[3]], pos[c[3] + c[2]:]]
+        a = np.sort(np.concatenate(a_chunks))
+        b = np.sort(np.concatenate(b_chunks))
+        assert result.unmatched_coincidences == tuple(
+            np.intersect1d(a, b - k, assume_unique=True).size
+            for k in range(1, k_max + 1)
+        )
+        assert (result.singles_a, result.singles_b) == (a.size, b.size)
+
+    def test_memory_does_not_grow_with_the_run(self, default_cfg):
+        # Reference instrument, 8e9 gates: about 1.1e6 clicks per detector.
+        parked = replace(default_cfg, delay_ps=10.0 * default_cfg.wavepacket.sigma_ps)
+        tracemalloc.start()
+        try:
+            run_car(parked, 8 * 10**9, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_saturated_clicks_fill_every_gate(self, symmetric_cfg, monkeypatch):
         # Every gate clicks both detectors, so each batch draws all of its
