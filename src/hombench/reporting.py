@@ -128,8 +128,8 @@ def read_points_csv(path: str | Path) -> list[ScanPoint]:
     """Read point data back; accepts the 5- or 7-column schema.
 
     Used by the `fit` subcommand, so external data only needs the five
-    required columns (extras beyond the schema are rejected to catch
-    header typos). Delays must be finite, counts whole numbers >= 0.
+    required columns (extras are rejected to catch header typos). Delays
+    are finite; counts are whole, 0 <= coincidences <= singles <= gates.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -152,6 +152,9 @@ def read_points_csv(path: str | Path) -> list[ScanPoint]:
                 bad = [c for c, n in counts.items() if n != cells[c] or n < 0]
                 if bad:
                     raise ValueError(f"not a whole number >= 0: {', '.join(bad)}")
+                low, high = sorted((counts["singles_a"], counts["singles_b"]))
+                if not counts["coincidences"] <= low <= high <= counts["gates"]:
+                    raise ValueError("need coincidences <= singles_a, singles_b <= gates")
                 points.append(ScanPoint(delay_ps=cells["delay_ps"], **counts))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}: bad row at line {line}: {exc}") from exc

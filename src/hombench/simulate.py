@@ -20,9 +20,9 @@ with the number of distinct overlaps it visits, not with delays x rows.
 
 Determinism contract: every public run takes a seed, derives one child
 generator per (point, batch) through named SeedSequence spawn keys, and
-merges batch counts by commutative addition. Results are bit-for-bit
-stable under any worker count; the HOMBENCH_THREADS environment variable
-changes speed only.
+merges batch counts by commutative addition (a dip batch is 2^20 gates,
+a CAR batch 2^13 clicks). Results are bit-for-bit stable under any worker
+count; the HOMBENCH_THREADS environment variable changes speed only.
 """
 
 from __future__ import annotations
@@ -61,12 +61,11 @@ _P00, _P01, _P10, _P11 = 0, 1, 2, 3
 _CAR_PATTERN = {"none": _P00, "single_i": _P01, "same_i": _P01,
                 "single_s": _P10, "same_s": _P10, "cross": _P11}
 
-# Gates per random-stream batch; each (point, batch) gets its own child
-# seed, so these fix the streams, not just the work split.
+# Gates per dip random-stream batch, clicks per CAR batch; each (point,
+# batch) gets its own child seed, so these fix the streams, not just the
+# work split.
 _DIP_BATCH = 1 << 20
-_CAR_BATCH = 1 << 22
-# A clicks per pass of the CAR offset walk; bounds its temporaries only.
-_WALK_BLOCK = 1 << 18
+_CAR_CLICKS = 1 << 13
 
 
 class InsufficientStatisticsError(RuntimeError):
@@ -154,13 +153,6 @@ def _child(base: np.random.SeedSequence, *key: int) -> np.random.SeedSequence:
 
 def _rng(seq: np.random.SeedSequence) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
-
-
-def _batches(total: int, size: int) -> Iterator[tuple[int, int, int]]:
-    """(batch, start, size) blocks covering range(total); `batch` is the
-    block's spawn key, so `size` fixes the random streams."""
-    for batch, start in enumerate(range(0, total, size)):
-        yield batch, start, min(size, total - start)
 
 
 def folded_poisson(mean: float, max_n: int) -> np.ndarray:
@@ -471,8 +463,8 @@ def run_dip_scan(
             kappa = amplitude_overlap(cfg.delay_ps, cfg.wavepacket.sigma_ps)
             cum = np.cumsum(_pair_pattern_probs(cfg, kappa))
             tasks.extend(
-                (i, batch, size, cum)
-                for batch, _, size in _batches(gates_per_point, _DIP_BATCH)
+                (i, batch, min(_DIP_BATCH, gates_per_point - start), cum)
+                for batch, start in enumerate(range(0, gates_per_point, _DIP_BATCH))
             )
 
         def run_task(task):
@@ -519,25 +511,24 @@ def _car_pattern_distribution(config: ExperimentConfig) -> np.ndarray:
     return _compose_gate_pmf(pi, pair_count_pmf, dark_a, dark_b)
 
 
-def _offset_counts(a_pos: np.ndarray, b_pos: np.ndarray, k_max: int) -> np.ndarray:
-    """Counts of (a, b) pairs with b - a = k for k = 1 .. k_max.
+def _offset_walk(pos: np.ndarray, pat: np.ndarray, n_old: int, k_max: int) -> np.ndarray:
+    """Counts of A-then-B click pairs k = 1 .. k_max gates apart.
 
-    `a_pos` and `b_pos` are sorted and distinct. A walk from the first B
-    click after each A click: every pass steps each A click to its next
-    B click and drops the A clicks whose next B click is over k_max gates
-    away; offsets grow by at least one per pass, so at most k_max + 1 run.
+    `pos` holds sorted, distinct click gates and `pat` their patterns; only
+    pairs whose later click is past the first `n_old` count. Pass m pairs
+    each click with the m-th after it. A pair of pass m + 1 spans one of
+    pass m, so the walk stops at the first pass with none within k_max.
     """
+    is_a, is_b = pat >= _P10, pat != _P10
     hist = np.zeros(k_max + 1, dtype=np.int64)
-    for _, start, size in _batches(a_pos.size, _WALK_BLOCK):
-        a = a_pos[start:start + size]
-        j = np.searchsorted(b_pos, a, side="right")
-        while a.size:
-            live = j < b_pos.size
-            a, j = a[live], j[live]
-            d = b_pos[j] - a
-            near = d <= k_max
-            a, j = a[near], j[near] + 1
-            hist += np.bincount(d[near], minlength=k_max + 1)
+    for m in range(1, pos.size):
+        lo, hi = max(n_old - m, 0), pos.size - m
+        d = pos[lo + m:] - pos[lo:hi]
+        near = d <= k_max
+        if not near.any():
+            break
+        near &= is_a[lo:hi] & is_b[lo + m:]
+        hist += np.bincount(d[near], minlength=k_max + 1)
     return hist[1:]
 
 
@@ -555,13 +546,13 @@ def run_car(
     must park the interferometer far off the dip (overlap below 1e-6) so
     that matched counting is interference-free.
 
-    The sampler is exact at any click density: per batch, pattern counts
-    are drawn from the per-slot pmf, and the clicking gates are an exact
-    uniform k-subset of the batch from numpy's `Generator.choice(...,
-    replace=False)` in random order (gate outcomes are exchangeable).
-    Sparse batches cost only the clicks they produce. Offsets are counted
-    batch by batch, with the A clicks of the previous n_offset_slots gates
-    carried in, so memory is O(batch) however many gates the run has.
+    The sampler is exact at any click density and costs per click. Gates
+    click independently with probability q, so the gaps between clicks
+    are geometric(q): a batch draws `_CAR_CLICKS` of them as floor(E /
+    lambda) + 1, E standard exponential and lambda = -log(1 - q) (Devroye
+    1986, ch. V), and one uniform per click picks its pattern. Offsets are
+    counted batch by batch, with the clicks of the previous n_offset_slots
+    gates carried in, so memory is O(batch) however many gates run.
 
     See `_car_pattern_distribution` for the detection geometry and the
     per-slot dark-count convention.
@@ -594,21 +585,27 @@ def run_car(
         )
 
     base = _as_seedseq(seed)
+    q = 1.0 - pmf[_P00]
+    lam = -math.log1p(-q) if q < 1.0 else math.inf  # q = 1: every gap is 1
+    t_b, t_ab = pmf[_P01] / q, (pmf[_P01] + pmf[_P10]) / q  # B only, A only
     counts = np.zeros(4, dtype=np.int64)
     hist = np.zeros(n_offset_slots, dtype=np.int64)
-    carry = np.zeros(0, dtype=np.int64)  # A clicks within reach of the batch
-    for batch, start, size in _batches(gates, _CAR_BATCH):
+    pos = pat = np.zeros(0, dtype=np.int64)  # clicks within reach of a batch
+    last, batch = -1, 0
+    while last < gates - 1:
         rng = _rng(_child(base, batch))
-        c = rng.multinomial(size, pmf)
-        counts += c
-        # Shuffled, so the split into both / A only / B only is uniform.
-        pos = rng.choice(size, c[_P01] + c[_P10] + c[_P11], replace=False) + start
-        n_a = c[_P11] + c[_P10]
-        a = np.concatenate((carry, np.sort(pos[:n_a])))
-        b = np.sort(np.concatenate((pos[:c[_P11]], pos[n_a:])))
-        # Each pair is counted in the batch that holds its B click.
-        hist += _offset_counts(a, b, n_offset_slots)
-        carry = a[a >= start + size - n_offset_slots]
+        gaps = (rng.standard_exponential(_CAR_CLICKS) / lam).astype(np.int64) + 1
+        u = rng.random(_CAR_CLICKS)
+        new = last + np.cumsum(gaps)
+        last, n_new, n_old = int(new[-1]), int(np.searchsorted(new, gates)), pos.size
+        pos = np.concatenate((pos, new[:n_new]))
+        pat = np.concatenate((pat, _P01 + (u[:n_new] >= t_b) + (u[:n_new] >= t_ab)))
+        counts += np.bincount(pat[n_old:], minlength=4)
+        # Each pair is counted in the batch that holds its later click.
+        hist += _offset_walk(pos, pat, n_old, n_offset_slots)
+        keep = np.searchsorted(pos, last - n_offset_slots, side="right")
+        pos, pat = pos[keep:], pat[keep:]
+        batch += 1
 
     matched = int(counts[_P11])
     unmatched = [int(k) for k in hist]

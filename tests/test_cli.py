@@ -280,7 +280,8 @@ class TestFitSubcommand:
         csv_path = tmp_path / "three.csv"
         csv_path.write_text(
             "delay_ps,gates,singles_a,singles_b,coincidences\n"
-            "-6.0,1000000,0,0,50\n0.0,1000000,0,0,5\n6.0,1000000,0,0,50\n"
+            "-6.0,1000000,900,900,50\n0.0,1000000,900,900,5\n"
+            "6.0,1000000,900,900,50\n"
         )
         out = tmp_path / "fit"
         proc = run_cli("fit", str(csv_path), "--out", str(out))
@@ -301,8 +302,8 @@ class TestFitSubcommand:
         csv_path = tmp_path / "narrow.csv"
         csv_path.write_text(
             "delay_ps,gates,singles_a,singles_b,coincidences\n"
-            "0.0,1000000,0,0,5\n0.1,1000000,0,0,50\n"
-            "0.2,1000000,0,0,50\n0.3,1000000,0,0,50\n"
+            "0.0,1000000,900,900,5\n0.1,1000000,900,900,50\n"
+            "0.2,1000000,900,900,50\n0.3,1000000,900,900,50\n"
         )
         proc = run_cli("fit", str(csv_path), "--out", str(tmp_path / "fit"))
         assert proc.returncode == 3
@@ -324,6 +325,17 @@ class TestFitSubcommand:
         proc = run_cli("fit", str(bad))
         assert proc.returncode == 1
         assert "error" in proc.stderr
+
+    def test_rejects_counts_that_contradict_each_other(self, tmp_path):
+        # Fittable coincidences, but 50 of them in 10 gates with no singles.
+        rows = "".join(
+            f"{d}.0,10,0,0,{10 if d == 0 else 50}\n" for d in range(-8, 9, 2)
+        )
+        bad = tmp_path / "over.csv"
+        bad.write_text("delay_ps,gates,singles_a,singles_b,coincidences\n" + rows)
+        proc = run_cli("fit", str(bad))
+        assert proc.returncode == 1
+        assert "bad row at line 2" in proc.stderr
 
 
 class TestCar:

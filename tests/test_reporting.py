@@ -78,6 +78,19 @@ def test_non_finite_delay_is_a_bad_row(tmp_path, cell):
         reporting.read_points_csv(path)
 
 
+@pytest.mark.parametrize("row", [
+    "10,0,0,50",  # more coincidences than singles
+    "100,60,40,50",  # more than the smaller singles count
+    "10,11,5,0",  # more singles than gates
+])
+def test_contradictory_counts_are_a_bad_row(tmp_path, row):
+    path = tmp_path / "points.csv"
+    header = ",".join(reporting.POINT_COLUMNS)
+    path.write_text(f"{header}\n1.5,10,10,10,10\n0.0,{row}\n")
+    with pytest.raises(ValueError, match="bad row at line 3: need coincidences"):
+        reporting.read_points_csv(path)
+
+
 @pytest.mark.parametrize("column", reporting.POINT_COLUMNS[1:])
 def test_every_count_column_holds_a_whole_number(tmp_path, column):
     path = tmp_path / "points.csv"

@@ -4,7 +4,6 @@ import math
 import re
 import tracemalloc
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from hombench import fock, simulate
 from hombench.analytics import car_terms
 from hombench.simulate import (
     _car_pattern_distribution,
-    _offset_counts,
+    _offset_walk,
     _pair_arrangements,
     folded_poisson,
     sample_pair_count,
@@ -194,27 +193,35 @@ def test_pair_arrangements_are_a_distribution(leak, u_s, u_i):
     }
 
 
-_positions = st.sets(st.integers(0, 80)).map(
-    lambda s: np.array(sorted(s), dtype=np.int64)
-)
+def _clicks_with_patterns(positions):
+    n = len(positions)
+    return st.tuples(
+        st.just(np.array(sorted(positions), dtype=np.int64)),
+        st.lists(st.sampled_from([1, 2, 3]), min_size=n, max_size=n).map(
+            lambda pats: np.array(pats, dtype=np.int64)
+        ),
+        st.integers(0, n),
+    )
 
 
 def _ints(*values):
     return np.array(values, dtype=np.int64)
 
 
-@given(a=_positions, b=_positions, k_max=st.integers(1, 12),
-       block=st.integers(1, 9))
-@example(a=_ints(3, 40), b=_ints(80), k_max=10, block=1)  # B at the last index
-@example(a=_ints(3, 4, 5), b=_ints(), k_max=10, block=2)  # no B clicks
-@example(a=_ints(), b=_ints(1, 2), k_max=10, block=2)  # no A clicks
-@example(a=_ints(*range(30)), b=_ints(*range(30)), k_max=3, block=4)  # long runs
-@example(a=_ints(*range(0, 40, 2)), b=_ints(*range(1, 41, 2)), k_max=12, block=7)
-def test_offset_walk_matches_intersections(a, b, k_max, block):
-    # Small blocks put A clicks of one offset pair in different blocks.
-    with mock.patch.object(simulate, "_WALK_BLOCK", block):
-        walked = _offset_counts(a, b, k_max)
-    assert walked.tolist() == [
+# Patterns: 1 = B only, 2 = A only, 3 = both. The first n_old clicks are
+# carried in from earlier batches.
+@given(clicks=st.sets(st.integers(0, 80)).flatmap(_clicks_with_patterns),
+       k_max=st.integers(1, 12))
+@example(clicks=(_ints(3, 40, 80), _ints(2, 2, 1), 0), k_max=10)  # B at the end
+@example(clicks=(_ints(), _ints(), 0), k_max=10)  # no clicks
+@example(clicks=(_ints(1, 2, 3), _ints(3, 3, 3), 3), k_max=10)  # all carried
+@example(clicks=(_ints(*range(30)), _ints(*[3] * 30), 10), k_max=3)  # long run
+@example(clicks=(_ints(*range(40)), _ints(*[2, 1] * 20), 25), k_max=12)
+def test_offset_walk_matches_intersections(clicks, k_max):
+    pos, pat, n_old = clicks
+    a = pos[pat != 1]
+    b = pos[n_old:][pat[n_old:] != 2]  # pairs are counted at their B click
+    assert _offset_walk(pos, pat, n_old, k_max).tolist() == [
         np.intersect1d(a, b - k, assume_unique=True).size
         for k in range(1, k_max + 1)
     ]
@@ -411,34 +418,43 @@ class TestRunCar:
     def test_batched_offsets_match_a_whole_run_count(
         self, symmetric_cfg, monkeypatch, batch, k_max
     ):
-        # Offsets longer than a batch carry A clicks over many batches.
+        # Offsets longer than a batch carry clicks over many batches. The
+        # walk visits every carried click within k_max gates, so dense
+        # clicks (86% of gates) run only with the short offsets.
+        sparse = symmetric_cfg(0.05, 0.2, 1e-4, delay_ps=60.0)
         if batch is None:
-            cfg = symmetric_cfg(0.05, 0.2, 1e-4, delay_ps=60.0)
-            gates = simulate._CAR_BATCH + 10**5
+            cfg, gates = sparse, 2_000_000
         else:
-            monkeypatch.setattr(simulate, "_CAR_BATCH", batch)
-            cfg = symmetric_cfg(2.0, 1.0, 1e-4, delay_ps=60.0)
-            gates = 6000
+            monkeypatch.setattr(simulate, "_CAR_CLICKS", batch)
+            dense = symmetric_cfg(2.0, 1.0, 1e-4, delay_ps=60.0)
+            cfg, gates = (sparse if k_max > 10 else dense), 6000
         result = run_car(cfg, gates, n_offset_slots=k_max, seed=5)
 
         # The whole-run count: the same batch streams, every click of the
-        # run kept and sorted, one intersection per offset.
+        # run kept, one intersection per offset.
         pmf = _car_pattern_distribution(cfg)
+        q = 1.0 - pmf[0]
         base = np.random.SeedSequence(5)
-        a_chunks, b_chunks = [], []
-        for index, start, size in simulate._batches(gates, simulate._CAR_BATCH):
-            rng = simulate._rng(simulate._child(base, index))
-            c = rng.multinomial(size, pmf)
-            pos = rng.choice(size, c[1:].sum(), replace=False) + start
-            a_chunks.append(pos[:c[3] + c[2]])
-            b_chunks += [pos[:c[3]], pos[c[3] + c[2]:]]
-        a = np.sort(np.concatenate(a_chunks))
-        b = np.sort(np.concatenate(b_chunks))
+        pos_chunks, u_chunks = [], []
+        last = -1
+        while last < gates - 1:
+            rng = simulate._rng(simulate._child(base, len(pos_chunks)))
+            e = rng.standard_exponential(simulate._CAR_CLICKS)
+            pos_chunks.append(last + np.cumsum(np.floor(e / -math.log1p(-q)) + 1))
+            u_chunks.append(rng.random(simulate._CAR_CLICKS))
+            last = pos_chunks[-1][-1]
+        pos = np.concatenate(pos_chunks).astype(np.int64)
+        u = np.concatenate(u_chunks)[pos < gates]
+        pos = pos[pos < gates]
+        b_only = u < pmf[1] / q
+        a_only = ~b_only & (u < (pmf[1] + pmf[2]) / q)
+        a, b = pos[~b_only], pos[~a_only]
         assert result.unmatched_coincidences == tuple(
             np.intersect1d(a, b - k, assume_unique=True).size
             for k in range(1, k_max + 1)
         )
         assert (result.singles_a, result.singles_b) == (a.size, b.size)
+        assert result.matched_coincidences == np.count_nonzero(~b_only & ~a_only)
 
     def test_memory_does_not_grow_with_the_run(self, default_cfg):
         # Reference instrument, 8e9 gates: about 1.1e6 clicks per detector.
@@ -451,10 +467,47 @@ class TestRunCar:
             tracemalloc.stop()
         assert peak < 8e6
 
+    def test_dense_run_memory_is_one_batch(self, symmetric_cfg):
+        # p = 2, eta = 1, 2e6 gates: about 1.7e6 clicks per detector.
+        cfg = symmetric_cfg(2.0, 1.0, 1e-4, delay_ps=60.0)
+        tracemalloc.start()
+        try:
+            run_car(cfg, 2 * 10**6, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    @pytest.mark.parametrize("dense, gates", [(False, 10**9), (True, 2 * 10**6)])
+    def test_counts_track_the_slot_pmf(self, default_cfg, dense, gates):
+        # Singles, matched and every offset's accidentals at 5 sigma of the
+        # per-slot pmf; the dense run would catch an off-by-one in the gaps.
+        cfg = replace(default_cfg, delay_ps=10.0 * default_cfg.wavepacket.sigma_ps)
+        if dense:
+            cfg = replace(
+                cfg,
+                source=replace(cfg.source, mean_pairs_per_pulse=2.0),
+                channel_s=replace(cfg.channel_s, transmittance=1.0),
+                channel_i=replace(cfg.channel_i, transmittance=1.0),
+            )
+        pmf = _car_pattern_distribution(cfg)
+        q_a, q_b = pmf[2] + pmf[3], pmf[1] + pmf[3]
+        result = run_car(cfg, gates, seed=23)
+        for observed, prob in ((result.singles_a, q_a), (result.singles_b, q_b),
+                               (result.matched_coincidences, pmf[3])):
+            mu = gates * prob
+            assert abs(observed - mu) <= 5.0 * math.sqrt(mu * (1.0 - prob))
+        ab = q_a * q_b
+        for k, observed in enumerate(result.unmatched_coincidences, start=1):
+            # A(g)B(g+k) and A(g+k)B(g+2k) share gate g + k.
+            n = gates - k
+            var = n * ab * (1.0 - ab) + 2 * (n - k) * ab * (pmf[3] - ab)
+            assert abs(observed - n * ab) <= 5.0 * math.sqrt(var), f"offset {k}"
+
     def test_saturated_clicks_fill_every_gate(self, symmetric_cfg, monkeypatch):
         # Every gate clicks both detectors, so each batch draws all of its
         # gates, and offsets pair clicks across batch boundaries.
-        monkeypatch.setattr(simulate, "_CAR_BATCH", 1000)
+        monkeypatch.setattr(simulate, "_CAR_CLICKS", 1000)
         cfg = symmetric_cfg(50.0, 1.0, 1e-4, delay_ps=60.0, extinction=1e30)
         gates = 10_000
         result = run_car(cfg, gates, seed=0)
