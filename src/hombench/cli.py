@@ -40,13 +40,12 @@ from .analytics import (
     splitter_dip_factor,
     visibility_prediction,
 )
+from .exact import gate_pattern_distribution
 from .fitting import FitResult, fit_dip
-from .model import ConfigError, ExperimentConfig
+from .model import ConfigError, ExperimentConfig, ScanPoint
 from .simulate import (
     SAMPLERS,
     InsufficientStatisticsError,
-    ScanPoint,
-    gate_pattern_distribution,
     run_car,
     run_dip_scan,
     run_visibility_sweep,

@@ -149,13 +149,13 @@ def config_from_dict(raw: Mapping[str, Any]) -> ExperimentConfig:
             extinction_ratio=db_to_linear(float(raw["extinction_ratio_db"])),
         ),
         wavepacket=WavepacketShape(sigma_ps=sigma_ps),
-        channel_s=OpticalChannel(float(raw["eta_signal"]), "signal"),
-        channel_i=OpticalChannel(float(raw["eta_idler"]), "idler"),
+        channel_s=OpticalChannel(float(raw["eta_signal"])),
+        channel_i=OpticalChannel(float(raw["eta_idler"])),
         splitter=BeamSplitter.from_db(
             float(raw["splitter_t_db"]), float(raw["splitter_r_db"])
         ),
-        detector_a=DetectorParams(float(raw["dark_prob_a"]), "A"),
-        detector_b=DetectorParams(float(raw["dark_prob_b"]), "B"),
+        detector_a=DetectorParams(float(raw["dark_prob_a"])),
+        detector_b=DetectorParams(float(raw["dark_prob_b"])),
         timing=TimingConfig(
             pulse_rate_hz=float(raw["pulse_rate_hz"]),
             gate_rate_hz=float(raw["gate_rate_hz"]),

@@ -17,15 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .analytics import DipModelParams, dip_curve, splitter_dip_factor
-from .model import BeamSplitter
-
-if TYPE_CHECKING:  # import only for annotations; simulate imports this module
-    from .simulate import ScanPoint
+from .model import BeamSplitter, ScanPoint
 
 
 # Levenberg-Marquardt schedule. Convergence is declared when an accepted
@@ -287,7 +284,7 @@ def _self_initialize(
 
 
 def fit_dip(
-    points: Sequence["ScanPoint"],
+    points: Sequence[ScanPoint],
     splitter: BeamSplitter,
     init: DipModelParams | None = None,
     fit_center: bool = False,

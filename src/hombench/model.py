@@ -50,24 +50,6 @@ def fwhm_to_sigma(fwhm: float) -> float:
     return fwhm / _FWHM_OVER_SIGMA
 
 
-def dark_prob_per_window(rate_hz: float, window_s: float) -> float:
-    """Dark-count probability for one counting window, rate times window.
-
-    The product form is the contract (not 1 - exp(-rt)): dark noise enters
-    every downstream formula as the single number D*t.
-    """
-    if rate_hz < 0.0 or not math.isfinite(rate_hz):
-        raise ValueError(f"dark rate must be finite and >= 0 (got {rate_hz!r})")
-    if window_s <= 0.0 or not math.isfinite(window_s):
-        raise ValueError(f"window must be finite and > 0 (got {window_s!r})")
-    prob = rate_hz * window_s
-    if prob >= 1.0:
-        raise ValueError(
-            f"rate * window = {prob!r} is not a valid probability (< 1 required)"
-        )
-    return prob
-
-
 @dataclass(frozen=True)
 class SourceParams:
     """Pulsed pair source: mean pairs per pulse and demux crosstalk."""
@@ -93,7 +75,6 @@ class OpticalChannel:
     """
 
     transmittance: float
-    label: str  # "signal" or "idler"
 
 
 @dataclass(frozen=True)
@@ -127,7 +108,6 @@ class DetectorParams:
     """Gated threshold detector; dark_prob_per_gate is D*t for one gate."""
 
     dark_prob_per_gate: float
-    label: str  # "A" or "B"
 
 
 @dataclass(frozen=True)
@@ -157,6 +137,17 @@ class ExperimentConfig:
     delay_ps: float  # relative arrival delay, applied to the signal arm
 
 
+@dataclass(frozen=True)
+class ScanPoint:
+    """Aggregated counts at one delay setting."""
+
+    delay_ps: float
+    gates: int
+    coincidences: int
+    singles_a: int
+    singles_b: int
+
+
 def config_errors(config: ExperimentConfig) -> list[str]:
     """Collect every violated invariant, each tagged with its field path."""
     errors: list[str] = []
@@ -180,14 +171,11 @@ def config_errors(config: ExperimentConfig) -> list[str]:
             f"(got {config.wavepacket.sigma_ps!r})"
         )
 
-    for name, ch, want in (("channel_s", config.channel_s, "signal"),
-                           ("channel_i", config.channel_i, "idler")):
+    for name, ch in (("channel_s", config.channel_s), ("channel_i", config.channel_i)):
         if not (0.0 <= ch.transmittance <= 1.0):
             errors.append(
                 f"{name}.transmittance: must be in [0, 1] (got {ch.transmittance!r})"
             )
-        if ch.label != want:
-            errors.append(f"{name}.label: must be {want!r} (got {ch.label!r})")
 
     bs = config.splitter
     if bs.transmittance < 0.0:
@@ -199,15 +187,12 @@ def config_errors(config: ExperimentConfig) -> list[str]:
             f"splitter: T + R must be <= 1 (got {bs.transmittance!r} + {bs.reflectance!r})"
         )
 
-    for name, det, want in (("detector_a", config.detector_a, "A"),
-                            ("detector_b", config.detector_b, "B")):
+    for name, det in (("detector_a", config.detector_a), ("detector_b", config.detector_b)):
         if not (0.0 <= det.dark_prob_per_gate < 1.0):
             errors.append(
                 f"{name}.dark_prob_per_gate: must be in [0, 1) "
                 f"(got {det.dark_prob_per_gate!r})"
             )
-        if det.label != want:
-            errors.append(f"{name}.label: must be {want!r} (got {det.label!r})")
 
     tm = config.timing
     if not (tm.pulse_rate_hz > 0.0 and math.isfinite(tm.pulse_rate_hz)):

@@ -26,8 +26,7 @@ from typing import Any, Iterable, Mapping, Sequence
 from ._version import __version__
 from .configio import config_to_schema_dict
 from .fitting import FitResult
-from .model import ExperimentConfig
-from .simulate import ScanPoint
+from .model import ExperimentConfig, ScanPoint
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "hombench"

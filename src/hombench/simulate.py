@@ -2,21 +2,9 @@
 
 The chain per gated pulse: Poisson pair generation (truncated), photon
 routing with demultiplexer crosstalk, per-photon channel and coupler
-survival, an exact interference draw for the survivors (probabilities
-from the `fock` oracle), and finally dark counts OR-ed onto each
-threshold detector.
-
-Photons from different pairs of the same pulse are mutually
-distinguishable: each pair interferes only internally. Pairs are
-independently heralded wavepackets, so a gate with n pairs composes n
-independent per-pair click draws. The per-pair click distributions are
-exact oracle outputs, which makes the comparison against the closed-form
-visibility budget a real cross-check rather than a restatement.
-
-Those per-pair distributions are cached by what they depend on: the
-"cross" arrangement on (overlap, splitter), the four others on the
-splitter alone (see `_pair_click_dist`). The oracle work of a scan grows
-with the number of distinct overlaps it visits, not with delays x rows.
+survival, an interference draw for the survivors, and finally dark
+counts OR-ed onto each threshold detector. The samplers draw from the
+exact distributions of `exact`.
 
 Determinism contract: every public run takes a seed, derives one child
 generator per (point, batch) through named SeedSequence spawn keys, and
@@ -31,12 +19,9 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
-from . import fock
 from .analytics import (
     CalibrationError,
     amplitude_overlap,
@@ -47,19 +32,21 @@ from .analytics import (
     invert_car,
     visibility_prediction,
 )
+from .exact import (
+    _P00,
+    _P01,
+    _P10,
+    _P11,
+    _car_pattern_distribution,
+    _pair_click_dist,
+    _pair_pattern_probs,
+    folded_poisson,
+    gate_pattern_distribution,
+)
 from .fitting import FitResult, fit_dip
-from .model import ExperimentConfig, validate
+from .model import ExperimentConfig, ScanPoint, validate
 
 SAMPLERS = ("multinomial", "per-gate")
-
-# Pattern vector order everywhere in this module: (no click, B only, A only,
-# both). Index arithmetic relies on it.
-_P00, _P01, _P10, _P11 = 0, 1, 2, 3
-
-# Click pattern of each pair arrangement without the coupler (CAR runs):
-# A reads arm s, B reads arm i, threshold detectors.
-_CAR_PATTERN = {"none": _P00, "single_i": _P01, "same_i": _P01,
-                "single_s": _P10, "same_s": _P10, "cross": _P11}
 
 # Gates per dip random-stream batch, clicks per CAR batch; each (point,
 # batch) gets its own child seed, so these fix the streams, not just the
@@ -86,17 +73,6 @@ class GateRecord:
     gate_index: int
     click_a: bool
     click_b: bool
-
-
-@dataclass(frozen=True)
-class ScanPoint:
-    """Aggregated counts at one delay setting."""
-
-    delay_ps: float
-    gates: int
-    coincidences: int
-    singles_a: int
-    singles_b: int
 
 
 @dataclass(frozen=True)
@@ -155,186 +131,6 @@ def _rng(seq: np.random.SeedSequence) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def folded_poisson(mean: float, max_n: int) -> np.ndarray:
-    """Poisson pmf truncated at max_n with the tail folded into the top bin."""
-    if mean < 0.0:
-        raise ValueError(f"mean must be >= 0 (got {mean!r})")
-    pmf = np.array(
-        [math.exp(-mean) * mean**n / math.factorial(n) for n in range(max_n + 1)]
-    )
-    pmf[max_n] += 1.0 - pmf.sum()
-    return pmf
-
-
-def sample_pair_count(p: float, rng: np.random.Generator, max_pairs: int = 3) -> int:
-    """One truncated-Poisson pair count; the tail folds into max_pairs."""
-    if p < 0.0:
-        raise ValueError(f"p must be >= 0 (got {p!r})")
-    return int(min(rng.poisson(p), max_pairs))
-
-
-def _vec(pattern: dict[tuple[bool, bool], float]) -> np.ndarray:
-    return np.array(
-        [
-            pattern[(False, False)],
-            pattern[(False, True)],
-            pattern[(True, False)],
-            pattern[(True, True)],
-        ]
-    )
-
-
-def _pair_click_dist(
-    kind: str, kappa: float, t_eff: float, r_eff: float
-) -> tuple[float, float, float, float]:
-    """Click-pattern distribution of one surviving pair arrangement.
-
-    kinds: "cross" (one photon per input arm, overlap kappa), "same_s" /
-    "same_i" (both photons in one arm after a crosstalk event), "single_s"
-    / "single_i" (lone survivor). All probabilities come from the exact
-    oracle.
-
-    Only "cross" depends on kappa, so only "cross" is cached on (kappa,
-    t_eff, r_eff); the other four are cached on the splitter alone. A scan
-    therefore evaluates the oracle once per distinct overlap plus four
-    times per splitter, however many delays or pair rates it visits. The
-    cache keeps the 1024 most recently used entries, so a long-lived
-    process that visits ever new overlaps holds bounded memory; a miss
-    is cheap because `fock.evolve_fock` caches the permanents underneath.
-    """
-    return _arrangement_click_dist(
-        kind, kappa if kind == "cross" else 0.0, t_eff, r_eff
-    )
-
-
-@lru_cache(maxsize=1024)
-def _arrangement_click_dist(
-    kind: str, kappa: float, t_eff: float, r_eff: float
-) -> tuple[float, float, float, float]:
-    u = fock.splitter_unitary(t_eff, r_eff)
-    if kind == "cross":
-        state: fock.State | fock.Occupation = fock.temporal_decompose(kappa, 1, 1)
-    elif kind == "same_s":
-        state = (1, 1, 0, 0)
-    elif kind == "same_i":
-        state = (0, 0, 1, 1)
-    elif kind == "single_s":
-        state = (1, 0, 0, 0)
-    elif kind == "single_i":
-        state = (0, 0, 1, 0)
-    else:
-        raise ValueError(f"unknown pair arrangement {kind!r}")
-    return tuple(_vec(fock.click_pattern_probs(state, u)))
-
-
-def _pair_arrangements(
-    leak: float, u_s: float, u_i: float
-) -> Iterator[tuple[float, str]]:
-    """One pair's crosstalk routing x per-photon survival.
-
-    Each photon swaps arms with probability `leak`, then survives with the
-    probability of the arm it landed in (u_s for arm s, u_i for arm i).
-    Yields (weight, arrangement) over the nonzero branches; arrangements
-    are the `_pair_click_dist` kinds plus "none" (nothing survived).
-    """
-    u_by_port = {"s": u_s, "i": u_i}
-    for leak_s, leak_i in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        w = (leak if leak_s else 1.0 - leak) * (leak if leak_i else 1.0 - leak)
-        port_s = "i" if leak_s else "s"  # arm the signal photon lands in
-        port_i = "s" if leak_i else "i"
-        u_sig, u_idl = u_by_port[port_s], u_by_port[port_i]
-        for surv_s in (0, 1):
-            for surv_i in (0, 1):
-                ws = w * (u_sig if surv_s else 1.0 - u_sig) * (
-                    u_idl if surv_i else 1.0 - u_idl
-                )
-                if ws == 0.0:
-                    continue
-                if surv_s and surv_i:
-                    kind = "cross" if port_s != port_i else f"same_{port_s}"
-                elif surv_s or surv_i:
-                    kind = f"single_{port_s if surv_s else port_i}"
-                else:
-                    kind = "none"
-                yield ws, kind
-
-
-def _pair_pattern_probs(config: ExperimentConfig, kappa: float) -> np.ndarray:
-    """Marginal click-pattern distribution of a single generated pair.
-
-    Routing and survival (channel plus coupler) from `_pair_arrangements`,
-    then the exact interference of whatever survived.
-    """
-    surv = config.splitter.survival
-    t_eff, r_eff = config.splitter.effective_t, config.splitter.effective_r
-    pi = np.zeros(4)
-    for weight, kind in _pair_arrangements(
-        1.0 / config.source.extinction_ratio,
-        config.channel_s.transmittance * surv,
-        config.channel_i.transmittance * surv,
-    ):
-        if kind == "none":
-            pi[_P00] += weight
-        else:
-            pi += weight * np.array(_pair_click_dist(kind, kappa, t_eff, r_eff))
-    return pi
-
-
-def _compose_gate_pmf(
-    pair_probs: np.ndarray,
-    pair_count_pmf: np.ndarray,
-    dark_a: float,
-    dark_b: float,
-) -> np.ndarray:
-    """Gate-level click-pattern pmf from independent pairs plus darks.
-
-    Pairs are independent given their number n, so the per-gate no-click
-    probabilities are mixtures of n-th powers of the per-pair ones; darks
-    multiply in as one more independent veto per detector.
-    """
-    x_a = pair_probs[_P00] + pair_probs[_P01]  # pair leaves A silent
-    x_b = pair_probs[_P00] + pair_probs[_P10]
-    x_0 = pair_probs[_P00]
-    powers = np.arange(pair_count_pmf.size)
-    e_a = float(pair_count_pmf @ x_a**powers)
-    e_b = float(pair_count_pmf @ x_b**powers)
-    e_0 = float(pair_count_pmf @ x_0**powers)
-
-    p00 = (1.0 - dark_a) * (1.0 - dark_b) * e_0
-    p01 = (1.0 - dark_a) * e_a - p00
-    p10 = (1.0 - dark_b) * e_b - p00
-    p11 = 1.0 - p00 - p01 - p10
-    pmf = np.clip(np.array([p00, p01, p10, p11]), 0.0, None)
-    return pmf / pmf.sum()
-
-
-def gate_pattern_distribution(
-    config: ExperimentConfig, kappa: float | None = None
-) -> np.ndarray:
-    """Exact per-gate click-pattern pmf (no click, B only, A only, both).
-
-    This is the distribution the per-gate sampler draws from implicitly
-    and the multinomial sampler draws from directly; unit tests hold the
-    empirical gate simulation to it. A given `kappa` overrides the overlap
-    implied by the configured delay and must lie in [0, 1].
-    """
-    validate(config)
-    if kappa is None:
-        kappa = amplitude_overlap(config.delay_ps, config.wavepacket.sigma_ps)
-    elif not 0.0 <= kappa <= 1.0:
-        raise ValueError(f"kappa must be in [0, 1] (got {kappa!r})")
-    pair_probs = _pair_pattern_probs(config, kappa)
-    pair_count_pmf = folded_poisson(
-        config.source.mean_pairs_per_pulse, config.source.max_pairs
-    )
-    return _compose_gate_pmf(
-        pair_probs,
-        pair_count_pmf,
-        config.detector_a.dark_prob_per_gate,
-        config.detector_b.dark_prob_per_gate,
-    )
-
-
 def simulate_gate(
     config: ExperimentConfig, rng: np.random.Generator, gate_index: int = 0
 ) -> GateRecord:
@@ -353,9 +149,7 @@ def simulate_gate(
     t_eff, r_eff = config.splitter.effective_t, config.splitter.effective_r
 
     click_a = click_b = False
-    n = sample_pair_count(
-        config.source.mean_pairs_per_pulse, rng, config.source.max_pairs
-    )
+    n = min(rng.poisson(config.source.mean_pairs_per_pulse), config.source.max_pairs)
     for _ in range(n):
         port_s = "i" if rng.random() < leak else "s"
         port_i = "s" if rng.random() < leak else "i"
@@ -372,7 +166,8 @@ def simulate_gate(
             kind = "single_s" if port_i == "s" else "single_i"
         else:
             continue
-        dist = _pair_click_dist(kind, kappa, t_eff, r_eff)
+        dist = _pair_click_dist(
+            kind, kappa if kind == "cross" else 0.0, t_eff, r_eff)
         pattern = int(np.searchsorted(np.cumsum(dist), rng.random(), side="right"))
         click_a |= pattern in (_P10, _P11)
         click_b |= pattern in (_P01, _P11)
@@ -483,32 +278,6 @@ def run_dip_scan(
                   singles_b=int(c[_P01] + c[_P11]))
         for delay, c in zip(delays, counts)
     ]
-
-
-def _car_pattern_distribution(config: ExperimentConfig) -> np.ndarray:
-    """Per-slot click-pattern pmf for direct pair monitoring.
-
-    The coincidence-to-accidental measurement taps the two channels
-    straight into the detectors (no interference coupler in the path) and
-    resolves clicks in single pulse slots with a time tagger. Two
-    consequences for the model:
-
-    * detector A sees the signal channel and detector B the idler channel,
-      with only the channel efficiencies applied (crosstalk still swaps
-      photons between the channels), so each arrangement of
-      `_pair_arrangements` fixes the click pattern;
-    * the dark probability for one slot is the configured per-gate value
-      divided by the gate divider: the same dark rate, resolved in a
-      pulse-period window instead of a whole gate.
-    """
-    p, eta_s, eta_i, dark_a, dark_b = car_terms(config)
-    pi = np.zeros(4)
-    for weight, kind in _pair_arrangements(
-        1.0 / config.source.extinction_ratio, eta_s, eta_i
-    ):
-        pi[_CAR_PATTERN[kind]] += weight
-    pair_count_pmf = folded_poisson(p, config.source.max_pairs)
-    return _compose_gate_pmf(pi, pair_count_pmf, dark_a, dark_b)
 
 
 def _offset_walk(pos: np.ndarray, pat: np.ndarray, n_old: int, k_max: int) -> np.ndarray:

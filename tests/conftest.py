@@ -70,11 +70,11 @@ def symmetric_cfg() -> Callable[..., ExperimentConfig]:
         return ExperimentConfig(
             source=SourceParams(p, extinction),
             wavepacket=WavepacketShape(fwhm_to_sigma(4.0)),
-            channel_s=OpticalChannel(eta, "signal"),
-            channel_i=OpticalChannel(eta, "idler"),
+            channel_s=OpticalChannel(eta),
+            channel_i=OpticalChannel(eta),
             splitter=BeamSplitter.from_db(-3.3, -3.6),
-            detector_a=DetectorParams(dark, "A"),
-            detector_b=DetectorParams(dark, "B"),
+            detector_a=DetectorParams(dark),
+            detector_b=DetectorParams(dark),
             timing=TimingConfig(100e6, 5e6),
             delay_ps=delay_ps,
         )

@@ -20,6 +20,7 @@ from conftest import run_cli
 from hombench import (
     BeamSplitter,
     DipModelParams,
+    ScanPoint,
     VisibilityBudget,
     car_prediction,
     coincidence_prob,
@@ -29,6 +30,7 @@ from hombench import (
     evolve_fock_ladder,
     fit_dip,
     fwhm_to_sigma,
+    gate_pattern_distribution,
     run_car,
     run_dip_scan,
     run_visibility_sweep,
@@ -39,7 +41,6 @@ from hombench import (
 from hombench.analytics import dip_curve as _dip_curve
 from hombench.fitting import _dip_jacobian_external, finite_difference_jacobian
 from hombench.fock import temporal_decompose
-from hombench.simulate import ScanPoint, gate_pattern_distribution
 
 SPLITTER = BeamSplitter.from_db(-3.3, -3.6)
 DELAYS_21 = [float(d) for d in np.linspace(-6.0, 6.0, 21)]

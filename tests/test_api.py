@@ -1,6 +1,8 @@
 """The public surface: what `import hombench` offers, and where the rest lives."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -28,15 +30,13 @@ PUBLIC = {
 MODULE_ONLY = {
     "visibility_from_counts": "analytics",
     "car_peak_pair_rate": "analytics",
-    "dark_prob_per_window": "model",
     "linear_to_db": "model",
     "clicks_from_occupation": "fock",
     "permanent": "fock",
     "temporal_decompose": "fock",
     "finite_difference_jacobian": "fitting",
-    "sample_pair_count": "simulate",
     "GateRecord": "simulate",
-    "folded_poisson": "simulate",
+    "folded_poisson": "exact",
     "thread_cap": "simulate",
 }
 
@@ -55,3 +55,49 @@ def test_every_public_name_resolves():
 def test_module_only_name_stays_at_its_module_path(name, module):
     assert not hasattr(hombench, name)
     assert hasattr(importlib.import_module(f"hombench.{module}"), name)
+
+
+# Intra-package imports each module may make; None admits any. A module
+# missing here fails the test, so a new one has to declare its layer.
+LAYERS = {
+    "_version": set(),
+    "model": set(),
+    "fock": set(),
+    "analytics": {"model"},
+    "exact": {"model", "fock", "analytics"},
+    "fitting": {"model", "analytics"},
+    "configio": {"model", "analytics"},
+    "simulate": {"model", "fock", "analytics", "exact", "fitting"},
+    "reporting": {"model", "configio", "fitting", "_version"},
+    "cli": None,
+    "__init__": None,
+    "__main__": None,
+}
+
+
+def _package_imports(tree: ast.AST) -> set[str]:
+    """Sibling modules a parsed module imports, relatively or by full name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 1:
+                module = f"hombench.{module}".rstrip(".")
+            names = ([module] if module != "hombench" else
+                     [f"hombench.{alias.name}" for alias in node.names])
+        else:
+            continue
+        found.update(n.split(".")[1] for n in names if n.startswith("hombench."))
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(hombench.__file__).parent.glob("*.py")), ids=lambda p: p.stem
+)
+def test_module_imports_only_its_layers(path):
+    assert path.stem in LAYERS, f"{path.stem} has no entry in LAYERS"
+    allowed = LAYERS[path.stem]
+    if allowed is not None:
+        assert _package_imports(ast.parse(path.read_text())) <= allowed

@@ -15,7 +15,7 @@ from hombench import (
     fwhm_to_sigma,
     validate,
 )
-from hombench.model import dark_prob_per_window, linear_to_db
+from hombench.model import linear_to_db
 
 
 def test_db_to_linear_known_values():
@@ -48,21 +48,6 @@ def test_fwhm_to_sigma_rejects_invalid(bad):
         fwhm_to_sigma(bad)
 
 
-def test_dark_prob_per_window_is_rate_times_window():
-    assert dark_prob_per_window(544.0, 1.0 / 5e6) == pytest.approx(1.088e-4, rel=1e-12)
-    assert dark_prob_per_window(1596.0, 1.0 / 5e6) == pytest.approx(3.192e-4, rel=1e-12)
-    assert dark_prob_per_window(0.0, 1.0) == 0.0
-
-
-def test_dark_prob_per_window_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        dark_prob_per_window(-1.0, 1e-6)
-    with pytest.raises(ValueError):
-        dark_prob_per_window(100.0, 0.0)
-    with pytest.raises(ValueError):
-        dark_prob_per_window(1e6, 1e-5)  # product 10, not a probability
-
-
 def test_beam_splitter_from_db_and_effective_split():
     bs = BeamSplitter.from_db(-3.3, -3.6)
     assert bs.transmittance == pytest.approx(0.46773514128719823, rel=1e-15)
@@ -84,13 +69,13 @@ def test_validate_returns_config_unchanged(default_cfg):
 
 def test_dark_probability_near_one_is_accepted(default_cfg):
     cfg = replace(
-        default_cfg, detector_a=DetectorParams(1.0 - 1e-12, "A")
+        default_cfg, detector_a=DetectorParams(1.0 - 1e-12)
     )
     assert config_errors(cfg) == []
 
 
 def test_dark_probability_of_one_is_rejected(default_cfg):
-    cfg = replace(default_cfg, detector_a=DetectorParams(1.0, "A"))
+    cfg = replace(default_cfg, detector_a=DetectorParams(1.0))
     errors = config_errors(cfg)
     assert len(errors) == 1
     assert "detector_a.dark_prob_per_gate" in errors[0]
@@ -102,7 +87,7 @@ def test_config_errors_collects_every_violation(default_cfg):
         source=replace(default_cfg.source, mean_pairs_per_pulse=-0.5, extinction_ratio=0.5),
         wavepacket=replace(default_cfg.wavepacket, sigma_ps=-1.0),
         channel_s=replace(default_cfg.channel_s, transmittance=2.0),
-        detector_b=DetectorParams(1.5, "B"),
+        detector_b=DetectorParams(1.5),
         timing=TimingConfig(100e6, 7e6),
         delay_ps=math.nan,
     )
@@ -123,17 +108,6 @@ def test_config_errors_collects_every_violation(default_cfg):
         validate(bad)
     assert exc_info.value.errors == errors
     assert isinstance(exc_info.value, ValueError)
-
-
-def test_wrong_channel_labels_are_flagged(default_cfg):
-    bad = replace(
-        default_cfg,
-        channel_s=replace(default_cfg.channel_s, label="idler"),
-        detector_a=DetectorParams(1e-4, "B"),
-    )
-    errors = config_errors(bad)
-    assert any("channel_s.label" in e for e in errors)
-    assert any("detector_a.label" in e for e in errors)
 
 
 def test_splitter_overunity_survival_is_flagged(default_cfg):

@@ -23,16 +23,10 @@ from hombench import (
     simulate_gate,
     visibility_prediction,
 )
-from hombench import fock, simulate
+from hombench import exact, fock, simulate
 from hombench.analytics import car_terms
-from hombench.simulate import (
-    _car_pattern_distribution,
-    _offset_walk,
-    _pair_arrangements,
-    folded_poisson,
-    sample_pair_count,
-    thread_cap,
-)
+from hombench.exact import _car_pattern_distribution, _pair_arrangements, folded_poisson
+from hombench.simulate import _offset_walk, thread_cap
 
 # Pattern vector order: (no click, B only, A only, both).
 FROZEN_DEFAULT_PMF = [
@@ -80,14 +74,6 @@ class TestFoldedPoisson:
         assert pmf[1:].sum() == 0.0
 
 
-def test_sample_pair_count_stays_in_range():
-    rng = np.random.default_rng(5)
-    draws = [sample_pair_count(0.5, rng, max_pairs=3) for _ in range(2000)]
-    assert min(draws) >= 0
-    assert max(draws) <= 3
-    assert np.mean(draws) == pytest.approx(0.5, abs=0.05)
-
-
 class TestGatePatternDistribution:
     def test_sums_to_one(self, default_cfg, symmetric_cfg):
         for cfg in (default_cfg, symmetric_cfg(0.05, 0.2, 1e-4)):
@@ -132,7 +118,7 @@ class TestGatePatternDistribution:
 
 
 def _clear_pmf_caches() -> None:
-    simulate._arrangement_click_dist.cache_clear()
+    exact._pair_click_dist.cache_clear()
     fock._amplitude_column.cache_clear()
 
 
