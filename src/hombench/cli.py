@@ -58,20 +58,8 @@ EXIT_NO_CONVERGENCE = 3
 
 # Flag name, schema key. Layering contract: flags beat the config file,
 # the config file beats the built-in defaults.
-_OVERRIDE_FLAGS = (
-    ("--pairs-per-pulse", "pairs_per_pulse"),
-    ("--extinction-ratio-db", "extinction_ratio_db"),
-    ("--sigma-ps", "sigma_ps"),
-    ("--fwhm-ps", "fwhm_ps"),
-    ("--eta-signal", "eta_signal"),
-    ("--eta-idler", "eta_idler"),
-    ("--splitter-t-db", "splitter_t_db"),
-    ("--splitter-r-db", "splitter_r_db"),
-    ("--dark-prob-a", "dark_prob_a"),
-    ("--dark-prob-b", "dark_prob_b"),
-    ("--pulse-rate-hz", "pulse_rate_hz"),
-    ("--gate-rate-hz", "gate_rate_hz"),
-    ("--delay-ps", "delay_ps"),
+_OVERRIDE_FLAGS = tuple(
+    ("--" + key.replace("_", "-"), key) for key in configio.SCHEMA_KEYS
 )
 
 

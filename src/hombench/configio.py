@@ -49,24 +49,23 @@ DEFAULT_DARK_PROB_B = 1596.0 / DEFAULT_GATE_RATE_HZ
 DEFAULT_VISIBILITY_TARGET = 0.80
 
 _WIDTH_KEYS = ("sigma_ps", "fwhm_ps")
-SCHEMA_KEYS = frozenset(
-    {
-        "pairs_per_pulse",
-        "extinction_ratio_db",
-        "sigma_ps",
-        "fwhm_ps",
-        "eta_signal",
-        "eta_idler",
-        "splitter_t_db",
-        "splitter_r_db",
-        "dark_prob_a",
-        "dark_prob_b",
-        "pulse_rate_hz",
-        "gate_rate_hz",
-        "delay_ps",
-    }
+# In the order the CLI lists its override flags.
+SCHEMA_KEYS = (
+    "pairs_per_pulse",
+    "extinction_ratio_db",
+    "sigma_ps",
+    "fwhm_ps",
+    "eta_signal",
+    "eta_idler",
+    "splitter_t_db",
+    "splitter_r_db",
+    "dark_prob_a",
+    "dark_prob_b",
+    "pulse_rate_hz",
+    "gate_rate_hz",
+    "delay_ps",
 )
-_REQUIRED_KEYS = SCHEMA_KEYS - set(_WIDTH_KEYS)
+_REQUIRED_KEYS = set(SCHEMA_KEYS) - set(_WIDTH_KEYS)
 
 
 def default_eta() -> float:
@@ -117,7 +116,7 @@ def config_from_dict(raw: Mapping[str, Any]) -> ExperimentConfig:
     ConfigError before any unit conversion happens.
     """
     problems: list[str] = []
-    unknown = sorted(set(raw) - SCHEMA_KEYS)
+    unknown = sorted(set(raw).difference(SCHEMA_KEYS))
     if unknown:
         problems.append(f"unknown config keys: {', '.join(unknown)}")
     missing = sorted(_REQUIRED_KEYS - set(raw))
@@ -129,7 +128,7 @@ def config_from_dict(raw: Mapping[str, Any]) -> ExperimentConfig:
             "exactly one of sigma_ps / fwhm_ps must be given "
             f"(got {len(width_present)})"
         )
-    for key in sorted(set(raw) & SCHEMA_KEYS):
+    for key in sorted(set(raw).intersection(SCHEMA_KEYS)):
         value = raw[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             problems.append(f"{key}: expected a number, got {value!r}")
@@ -201,7 +200,7 @@ def load_config(
             raise ConfigError([f"{path}: not valid JSON: {exc}"]) from exc
         if not isinstance(raw, dict):
             raise ConfigError([f"{path}: top level must be a JSON object"])
-        unknown = sorted(set(raw) - SCHEMA_KEYS)
+        unknown = sorted(set(raw).difference(SCHEMA_KEYS))
         if unknown:
             raise ConfigError([f"{path}: unknown config keys: {', '.join(unknown)}"])
         layers.append(raw)

@@ -10,10 +10,13 @@ threshold detector. Because the per-pair distributions are oracle
 outputs, the comparison against the closed-form visibility budget is a
 real cross-check rather than a restatement.
 
-The per-pair distributions are cached by what they depend on: the
-"cross" arrangement on (overlap, splitter), the four others on the
-splitter alone (see `_pair_click_dist`). The oracle work of a scan grows
-with the number of distinct overlaps it visits, not with delays x rows.
+The overlap kappa enters as a mixture, not a superposition. A pair with
+one photon per arm is, with probability kappa^2, an indistinguishable
+("twin") pair and otherwise a distinguishable ("split") one whose idler
+rides the orthogonal temporal mode. The splitter never changes a temporal
+label, so the two parts land in disjoint output occupations and cannot
+interfere: the mixture is exact (Hong, Ou & Mandel, PRL 59, 2044 (1987)).
+So the oracle runs on six fixed inputs per splitter, whatever the scan.
 """
 
 from __future__ import annotations
@@ -37,10 +40,12 @@ _P00, _P01, _P10, _P11 = 0, 1, 2, 3
 _CAR_PATTERN = {"none": _P00, "single_i": _P01, "same_i": _P01,
                 "single_s": _P10, "same_s": _P10, "cross": _P11}
 
-# Fock input of each arrangement but "cross", whose input depends on the
-# overlap (mode order as in `fock`).
+# Fock input of each oracle evaluation (mode order as in `fock`): every
+# arrangement but "cross", plus the two parts of "cross", "twin" (idler in
+# the matched temporal mode) and "split" (idler in the orthogonal one).
 _FOCK_INPUT = {"same_s": (1, 1, 0, 0), "same_i": (0, 0, 1, 1),
-               "single_s": (1, 0, 0, 0), "single_i": (0, 0, 1, 0)}
+               "single_s": (1, 0, 0, 0), "single_i": (0, 0, 1, 0),
+               "twin": (1, 0, 1, 0), "split": (1, 0, 0, 1)}
 
 
 def folded_poisson(mean: float, max_n: int) -> np.ndarray:
@@ -67,29 +72,20 @@ def _vec(pattern: dict[tuple[bool, bool], float]) -> np.ndarray:
 
 @lru_cache(maxsize=1024)
 def _pair_click_dist(
-    kind: str, kappa: float, t_eff: float, r_eff: float
+    kind: str, t_eff: float, r_eff: float
 ) -> tuple[float, float, float, float]:
-    """Click-pattern distribution of one surviving pair arrangement.
+    """Click-pattern distribution of one `_FOCK_INPUT` through a splitter.
 
-    kinds: "cross" (one photon per input arm, overlap kappa), "same_s" /
-    "same_i" (both photons in one arm after a crosstalk event), "single_s"
-    / "single_i" (lone survivor). All probabilities come from the exact
-    oracle.
-
-    Only "cross" depends on kappa, so callers pass kappa = 0 for the other
-    four, which are then cached on the splitter alone. A scan therefore
-    evaluates the oracle once per distinct overlap plus four times per
-    splitter, however many delays or pair rates it visits. The cache keeps
-    the 1024 most recently used entries, so a long-lived process that
-    visits ever new overlaps holds bounded memory; a miss is cheap because
-    `fock.evolve_fock` caches the permanents underneath.
+    kinds: "same_s" / "same_i" (both photons in one arm after a crosstalk
+    event), "single_s" / "single_i" (lone survivor), and the two parts of
+    a "cross" pair (one photon per arm), "twin" and "split". A cross pair
+    of overlap kappa is the mixture kappa^2 twin + (1 - kappa^2) split:
+    the splitter keeps temporal labels, so the parts reach disjoint output
+    occupations and never interfere. All probabilities come from the exact
+    oracle, evaluated once per (kind, splitter).
     """
-    if kind == "cross":
-        state: fock.State | fock.Occupation = fock.temporal_decompose(kappa, 1, 1)
-    else:
-        state = _FOCK_INPUT[kind]
     u = fock.splitter_unitary(t_eff, r_eff)
-    return tuple(_vec(fock.click_pattern_probs(state, u)))
+    return tuple(_vec(fock.click_pattern_probs(_FOCK_INPUT[kind], u)))
 
 
 def _pair_arrangements(
@@ -100,7 +96,8 @@ def _pair_arrangements(
     Each photon swaps arms with probability `leak`, then survives with the
     probability of the arm it landed in (u_s for arm s, u_i for arm i).
     Yields (weight, arrangement) over the nonzero branches; arrangements
-    are the `_pair_click_dist` kinds plus "none" (nothing survived).
+    are "cross", "same_s", "same_i", "single_s", "single_i" and "none"
+    (nothing survived).
     """
     u_by_port = {"s": u_s, "i": u_i}
     for leak_s, leak_i in ((0, 0), (0, 1), (1, 0), (1, 1)):
@@ -128,10 +125,17 @@ def _pair_pattern_probs(config: ExperimentConfig, kappa: float) -> np.ndarray:
     """Marginal click-pattern distribution of a single generated pair.
 
     Routing and survival (channel plus coupler) from `_pair_arrangements`,
-    then the exact interference of whatever survived.
+    then the exact interference of whatever survived; a "cross" pair is
+    the kappa^2 mixture of its twin and split parts.
     """
     surv = config.splitter.survival
     t_eff, r_eff = config.splitter.effective_t, config.splitter.effective_r
+
+    def dist(kind: str) -> np.ndarray:
+        return np.array(_pair_click_dist(kind, t_eff, r_eff))
+
+    twin = kappa * kappa
+    cross = twin * dist("twin") + (1.0 - twin) * dist("split")
     pi = np.zeros(4)
     for weight, kind in _pair_arrangements(
         1.0 / config.source.extinction_ratio,
@@ -141,8 +145,7 @@ def _pair_pattern_probs(config: ExperimentConfig, kappa: float) -> np.ndarray:
         if kind == "none":
             pi[_P00] += weight
         else:
-            pi += weight * np.array(_pair_click_dist(
-                kind, kappa if kind == "cross" else 0.0, t_eff, r_eff))
+            pi += weight * (cross if kind == "cross" else dist(kind))
     return pi
 
 

@@ -18,7 +18,6 @@ cost grows as 2^n and nothing in this package needs more than three pairs.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -146,17 +145,20 @@ def _transition_amplitude(u: np.ndarray, out: Occupation, inp: Occupation) -> co
     return permanent(sub) / norm
 
 
-@lru_cache(maxsize=1024)
-def _amplitude_column(u_bytes: bytes, inp: Occupation) -> tuple[complex, ...]:
-    """<out|U|inp> for every `out` of `_output_occupations(sum(inp))`, in order.
-
-    Keyed on the unitary's bytes, never on the array object, so an array
-    mutated in place after a call cannot be served a stale column.
-    """
-    u = np.frombuffer(u_bytes, dtype=complex).reshape(N_MODES, N_MODES)
-    return tuple(
-        _transition_amplitude(u, out, inp) for out in _output_occupations(sum(inp))
-    )
+def _checked_input(
+    state: State | Occupation, unitary: np.ndarray, max_total: int
+) -> tuple[np.ndarray, State, int]:
+    """Unitary, amplitudes and photon total of an engine input, all checked."""
+    u = _check_unitary(unitary)
+    amplitudes = _as_state(state)
+    if not amplitudes:
+        raise ValueError("input state is empty")
+    totals = {sum(occ) for occ in amplitudes}
+    if len(totals) != 1:
+        raise ValueError(f"mixed photon totals in input state: {sorted(totals)}")
+    for occ in amplitudes:
+        _check_occupation(occ, max_total)
+    return u, amplitudes, totals.pop()
 
 
 def evolve_fock(
@@ -168,33 +170,13 @@ def evolve_fock(
     complex amplitude; all components must share one total photon number
     (lossless evolution conserves it). Returns every output occupation of
     that total with its probability; the probabilities sum to 1.
-
-    The permanents depend only on the unitary and the input occupation,
-    not on the state's amplitudes, so they are cached on (unitary contents,
-    input occupation). Re-evolving a superposition such as
-    `temporal_decompose(kappa, 1, 1)` at a new kappa through a known
-    splitter costs a few multiply-adds per output. The cache keeps the
-    1024 most recently used columns, so a process that evolves through
-    ever new unitaries holds bounded memory.
     """
-    u = _check_unitary(unitary)
-    amplitudes = _as_state(state)
-    if not amplitudes:
-        raise ValueError("input state is empty")
-    totals = {sum(occ) for occ in amplitudes}
-    if len(totals) != 1:
-        raise ValueError(f"mixed photon totals in input state: {sorted(totals)}")
-    total = totals.pop()
-    for occ in amplitudes:
-        _check_occupation(occ, max_total)
-
-    u_bytes = u.tobytes()
-    columns = [(a, _amplitude_column(u_bytes, inp)) for inp, a in amplitudes.items()]
+    u, amplitudes, total = _checked_input(state, unitary, max_total)
     result: dict[Occupation, float] = {}
-    for k, out in enumerate(_output_occupations(total)):
+    for out in _output_occupations(total):
         amp = 0.0 + 0.0j
-        for a, column in columns:
-            amp += a * column[k]
+        for inp, a in amplitudes.items():
+            amp += a * _transition_amplitude(u, out, inp)
         result[out] = float(abs(amp) ** 2)
     return result
 
@@ -208,15 +190,7 @@ def evolve_fock_ladder(
     substituted with its image under the unitary and the resulting
     polynomial is expanded term by term. Used as a cross-check oracle.
     """
-    u = _check_unitary(unitary)
-    amplitudes = _as_state(state)
-    if not amplitudes:
-        raise ValueError("input state is empty")
-    totals = {sum(occ) for occ in amplitudes}
-    if len(totals) != 1:
-        raise ValueError(f"mixed photon totals in input state: {sorted(totals)}")
-    for occ in amplitudes:
-        _check_occupation(occ, max_total)
+    u, amplitudes, _ = _checked_input(state, unitary, max_total)
 
     # Polynomial over output-mode exponent tuples, seeded with the vacuum.
     out_amp: dict[Occupation, complex] = {}
@@ -259,17 +233,6 @@ def click_pattern_probs(
     return pattern
 
 
-@lru_cache(maxsize=4096)
-def _both_click_effective(
-    k_s: int, k_i: int, kappa: float, t_eff: float, r_eff: float, max_total: int
-) -> float:
-    if k_s + k_i < 2:
-        return 0.0
-    u = splitter_unitary(t_eff, r_eff)
-    state = temporal_decompose(kappa, k_s, k_i, max_total)
-    return click_pattern_probs(state, u, max_total)[(True, True)]
-
-
 def coincidence_prob(
     n_s: int,
     n_i: int,
@@ -292,7 +255,7 @@ def coincidence_prob(
     s = t + r
     if s == 0.0:
         return 0.0
-    t_eff, r_eff = t / s, r / s
+    u = splitter_unitary(t / s, r / s)
     prob = 0.0
     for k_s in range(n_s + 1):
         w_s = math.comb(n_s, k_s) * s**k_s * (1.0 - s) ** (n_s - k_s)
@@ -300,7 +263,6 @@ def coincidence_prob(
             w_i = math.comb(n_i, k_i) * s**k_i * (1.0 - s) ** (n_i - k_i)
             if k_s + k_i < 2:
                 continue
-            prob += w_s * w_i * _both_click_effective(
-                k_s, k_i, kappa, t_eff, r_eff, max_total
-            )
+            state = temporal_decompose(kappa, k_s, k_i, max_total)
+            prob += w_s * w_i * click_pattern_probs(state, u, max_total)[(True, True)]
     return prob

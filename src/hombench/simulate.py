@@ -139,7 +139,8 @@ def simulate_gate(
     Reference implementation: the batched samplers collapse these stages
     into precomputed distributions, and tests pin their agreement.
     """
-    kappa = amplitude_overlap(config.delay_ps, config.wavepacket.sigma_ps)
+    validate(config)
+    twin = amplitude_overlap(config.delay_ps, config.wavepacket.sigma_ps) ** 2
     leak = 1.0 / config.source.extinction_ratio
     surv = config.splitter.survival
     u_by_port = {
@@ -166,8 +167,11 @@ def simulate_gate(
             kind = "single_s" if port_i == "s" else "single_i"
         else:
             continue
-        dist = _pair_click_dist(
-            kind, kappa if kind == "cross" else 0.0, t_eff, r_eff)
+        if kind == "cross":  # indistinguishable with probability kappa^2
+            dist = (twin * np.array(_pair_click_dist("twin", t_eff, r_eff))
+                    + (1.0 - twin) * np.array(_pair_click_dist("split", t_eff, r_eff)))
+        else:
+            dist = _pair_click_dist(kind, t_eff, r_eff)
         pattern = int(np.searchsorted(np.cumsum(dist), rng.random(), side="right"))
         click_a |= pattern in (_P10, _P11)
         click_b |= pattern in (_P01, _P11)

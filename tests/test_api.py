@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,3 +103,57 @@ def test_module_imports_only_its_layers(path):
     allowed = LAYERS[path.stem]
     if allowed is not None:
         assert _package_imports(ast.parse(path.read_text())) <= allowed
+
+
+def _load_probe(monkeypatch):
+    """perfbench/probe.py as a module; its top level imports only stdlib."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "probe.py"
+    spec = importlib.util.spec_from_file_location("perfbench_probe", path)
+    probe = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, probe)  # its dataclasses look it up
+    spec.loader.exec_module(probe)
+    return probe
+
+
+# Names the benchmark's `reference`, `trace` and `layers` modes read,
+# besides the wrapped BOUNDARIES.
+PROBE_READS = {
+    "hombench.configio": ("config_from_dict", "load_config"),
+    "hombench.simulate": ("ScanPoint", "gate_pattern_distribution", "simulate_gate"),
+    "hombench.fitting": ("fit_dip",),
+    "hombench.analytics": ("car_prediction",),
+    "hombench.fock": (
+        "splitter_unitary", "temporal_decompose", "evolve_fock", "evolve_fock_ladder",
+    ),
+    "hombench.cli": ("main",),
+}
+
+
+def test_names_the_benchmark_reads_resolve(monkeypatch):
+    wanted: dict[str, set[str]] = {}
+    for table in (_load_probe(monkeypatch).BOUNDARIES, PROBE_READS):
+        for module, names in table.items():
+            wanted.setdefault(module, set()).update(names)
+    missing = sorted(
+        f"{module}.{name}"
+        for module, names in wanted.items()
+        for name in names
+        if not hasattr(importlib.import_module(module), name)
+    )
+    assert not missing, (
+        f"perfbench/probe.py reads names the package no longer has: {missing}. "
+        "Keep them, or rename them in perfbench/ in a benchmark change "
+        "(ROADMAP item 6), not in the same change as the program."
+    )
+
+
+def test_layers_probe_can_clear_the_pmf_cache():
+    # `probe.py layers` times a cold pmf by clearing every cache it finds in
+    # vars(simulate) and vars(fock).
+    from hombench import exact, fock, simulate
+
+    reachable = [*vars(simulate).values(), *vars(fock).values()]
+    assert any(value is exact._pair_click_dist for value in reachable), (
+        "exact._pair_click_dist is out of reach of probe.py layers; fix it in "
+        "a benchmark change (ROADMAP item 6)"
+    )

@@ -11,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hombench import (
+    BeamSplitter,
     ConfigError,
     InsufficientStatisticsError,
     amplitude_overlap,
@@ -119,11 +120,48 @@ class TestGatePatternDistribution:
 
 def _clear_pmf_caches() -> None:
     exact._pair_click_dist.cache_clear()
-    fock._amplitude_column.cache_clear()
+
+
+def _superposed_pair_probs(cfg, kappa):
+    """`_pair_pattern_probs` with each cross pair evolved as a superposition.
+
+    The idler rides kappa |matched> + sqrt(1 - kappa^2) |orthogonal>, the
+    state the kappa^2 mixture of the gate model must reproduce.
+    """
+    surv = cfg.splitter.survival
+    u = fock.splitter_unitary(cfg.splitter.effective_t, cfg.splitter.effective_r)
+    pi = np.zeros(4)
+    for weight, kind in _pair_arrangements(
+        1.0 / cfg.source.extinction_ratio,
+        cfg.channel_s.transmittance * surv,
+        cfg.channel_i.transmittance * surv,
+    ):
+        if kind == "none":
+            pi[0] += weight
+            continue
+        state = (fock.temporal_decompose(kappa, 1, 1) if kind == "cross"
+                 else exact._FOCK_INPUT[kind])
+        pi += weight * exact._vec(fock.click_pattern_probs(state, u))
+    return pi
+
+
+def test_overlap_mixture_matches_superposition(symmetric_cfg):
+    # eta = 0.8 and 10 dB extinction visit every arrangement; the lossy
+    # splitter (T + R = 0.9) runs from a pure reflector to a pure
+    # transmitter.
+    base = symmetric_cfg(0.03, 0.8, 1e-4, extinction=10.0)
+    for t in (0.0, 0.2, 0.45, 0.7, 0.9):
+        cfg = replace(base, splitter=BeamSplitter(t, 0.9 - t))
+        for kappa in (0.0, 0.25, 0.5, 1.0 / math.sqrt(2.0), 0.9, 1.0):
+            np.testing.assert_allclose(
+                exact._pair_pattern_probs(cfg, kappa),
+                _superposed_pair_probs(cfg, kappa), rtol=0.0, atol=1e-15,
+                err_msg=f"T={t}, kappa={kappa}",
+            )
 
 
 class TestPmfCaches:
-    def test_oracle_runs_once_per_distinct_overlap(self, symmetric_cfg, monkeypatch):
+    def test_oracle_runs_six_times_per_splitter(self, symmetric_cfg, monkeypatch):
         _clear_pmf_caches()
         calls = []
         calls_before_row = []
@@ -142,10 +180,10 @@ class TestPmfCaches:
         cfg = symmetric_cfg(0.03, 0.2, 1e-4)
         delays = np.linspace(-6.0, 6.0, 21).tolist()
         run_visibility_sweep(cfg, [0.02, 0.05], 200_000, seed=6, delays=delays)
-        sigma = cfg.wavepacket.sigma_ps
-        distinct_kappas = {amplitude_overlap(d, sigma) for d in delays}
+        # Four arrangements plus the twin and split parts of a cross pair,
+        # whatever the number of delays or rows.
         assert len(calls_before_row) == 2
-        assert len(calls) <= 4 + len(distinct_kappas)
+        assert len(calls) == 6
         assert len(calls) == calls_before_row[1]  # the second row is all hits
 
     def test_cold_and_warm_builds_are_bit_identical(self, symmetric_cfg):
@@ -211,6 +249,16 @@ def test_offset_walk_matches_intersections(clicks, k_max):
         np.intersect1d(a, b - k, assume_unique=True).size
         for k in range(1, k_max + 1)
     ]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("extinction_ratio", 0.0), ("mean_pairs_per_pulse", -1.0),
+])
+def test_simulate_gate_rejects_invalid_config(symmetric_cfg, field, value):
+    cfg = symmetric_cfg(0.05, 0.2, 1e-4)
+    bad = replace(cfg, source=replace(cfg.source, **{field: value}))
+    with pytest.raises(ConfigError):
+        simulate_gate(bad, np.random.default_rng(0))
 
 
 def test_simulate_gate_tracks_exact_pmf(symmetric_cfg):
