@@ -16,7 +16,9 @@ one photon per arm is, with probability kappa^2, an indistinguishable
 rides the orthogonal temporal mode. The splitter never changes a temporal
 label, so the two parts land in disjoint output occupations and cannot
 interfere: the mixture is exact (Hong, Ou & Mandel, PRL 59, 2044 (1987)).
-So the oracle runs on six fixed inputs per splitter, whatever the scan.
+So the oracle runs on six fixed inputs per splitter, whatever the scan,
+and a scan builds the pmfs of all its delays in one numpy pass over their
+overlaps (`_gate_pmfs`).
 """
 
 from __future__ import annotations
@@ -121,12 +123,13 @@ def _pair_arrangements(
                 yield ws, kind
 
 
-def _pair_pattern_probs(config: ExperimentConfig, kappa: float) -> np.ndarray:
+def _pair_pattern_probs(config: ExperimentConfig, kappa: float | list[float]) -> np.ndarray:
     """Marginal click-pattern distribution of a single generated pair.
 
     Routing and survival (channel plus coupler) from `_pair_arrangements`,
     then the exact interference of whatever survived; a "cross" pair is
-    the kappa^2 mixture of its twin and split parts.
+    the kappa^2 mixture of its twin and split parts. An array of kappa
+    gives one row per overlap, each as a lone kappa would.
     """
     surv = config.splitter.survival
     t_eff, r_eff = config.splitter.effective_t, config.splitter.effective_r
@@ -134,16 +137,17 @@ def _pair_pattern_probs(config: ExperimentConfig, kappa: float) -> np.ndarray:
     def dist(kind: str) -> np.ndarray:
         return np.array(_pair_click_dist(kind, t_eff, r_eff))
 
-    twin = kappa * kappa
+    kappa = np.asarray(kappa, dtype=float)
+    twin = (kappa * kappa)[..., None]
     cross = twin * dist("twin") + (1.0 - twin) * dist("split")
-    pi = np.zeros(4)
+    pi = np.zeros(kappa.shape + (4,))
     for weight, kind in _pair_arrangements(
         1.0 / config.source.extinction_ratio,
         config.channel_s.transmittance * surv,
         config.channel_i.transmittance * surv,
     ):
         if kind == "none":
-            pi[_P00] += weight
+            pi[..., _P00] += weight
         else:
             pi += weight * (cross if kind == "cross" else dist(kind))
     return pi
@@ -155,26 +159,48 @@ def _compose_gate_pmf(
     dark_a: float,
     dark_b: float,
 ) -> np.ndarray:
-    """Gate-level click-pattern pmf from independent pairs plus darks.
+    """Gate-level click-pattern pmfs from independent pairs plus darks.
 
-    Pairs are independent given their number n, so the per-gate no-click
-    probabilities are mixtures of n-th powers of the per-pair ones; darks
-    multiply in as one more independent veto per detector.
+    One output row per row of per-pair probabilities. Pairs are independent
+    given their number n, so the per-gate no-click probabilities are
+    mixtures of n-th powers of the per-pair ones; darks multiply in as one
+    more independent veto per detector.
     """
-    x_a = pair_probs[_P00] + pair_probs[_P01]  # pair leaves A silent
-    x_b = pair_probs[_P00] + pair_probs[_P10]
-    x_0 = pair_probs[_P00]
     powers = np.arange(pair_count_pmf.size)
-    e_a = float(pair_count_pmf @ x_a**powers)
-    e_b = float(pair_count_pmf @ x_b**powers)
-    e_0 = float(pair_count_pmf @ x_0**powers)
+
+    def mix(x: np.ndarray) -> np.ndarray:
+        # One dot per row: a matmul over all rows sums in another order.
+        return np.array([pair_count_pmf @ row for row in x[:, None] ** powers])
+
+    e_a = mix(pair_probs[:, _P00] + pair_probs[:, _P01])  # pair leaves A silent
+    e_b = mix(pair_probs[:, _P00] + pair_probs[:, _P10])
+    e_0 = mix(pair_probs[:, _P00])
 
     p00 = (1.0 - dark_a) * (1.0 - dark_b) * e_0
     p01 = (1.0 - dark_a) * e_a - p00
     p10 = (1.0 - dark_b) * e_b - p00
     p11 = 1.0 - p00 - p01 - p10
-    pmf = np.clip(np.array([p00, p01, p10, p11]), 0.0, None)
-    return pmf / pmf.sum()
+    pmf = np.clip(np.stack([p00, p01, p10, p11], axis=1), 0.0, None)
+    return pmf / pmf.sum(axis=1, keepdims=True)
+
+
+def _gate_pmfs(config: ExperimentConfig, kappas: list[float]) -> np.ndarray:
+    """Exact per-gate click-pattern pmfs of `config`, one row per overlap.
+
+    A dip scan builds all its points here in one pass: the config is
+    checked once, and only the overlap kappa changes from row to row.
+    """
+    validate(config)
+    pair_probs = _pair_pattern_probs(config, kappas)
+    pair_count_pmf = folded_poisson(
+        config.source.mean_pairs_per_pulse, config.source.max_pairs
+    )
+    return _compose_gate_pmf(
+        pair_probs,
+        pair_count_pmf,
+        config.detector_a.dark_prob_per_gate,
+        config.detector_b.dark_prob_per_gate,
+    )
 
 
 def gate_pattern_distribution(
@@ -185,23 +211,15 @@ def gate_pattern_distribution(
     This is the distribution the per-gate sampler draws from implicitly
     and the multinomial sampler draws from directly; unit tests hold the
     empirical gate simulation to it. A given `kappa` overrides the overlap
-    implied by the configured delay and must lie in [0, 1].
+    implied by the configured delay and must lie in [0, 1]. It is the
+    one-row case of `_gate_pmfs`.
     """
     validate(config)
     if kappa is None:
         kappa = amplitude_overlap(config.delay_ps, config.wavepacket.sigma_ps)
     elif not 0.0 <= kappa <= 1.0:
         raise ValueError(f"kappa must be in [0, 1] (got {kappa!r})")
-    pair_probs = _pair_pattern_probs(config, kappa)
-    pair_count_pmf = folded_poisson(
-        config.source.mean_pairs_per_pulse, config.source.max_pairs
-    )
-    return _compose_gate_pmf(
-        pair_probs,
-        pair_count_pmf,
-        config.detector_a.dark_prob_per_gate,
-        config.detector_b.dark_prob_per_gate,
-    )
+    return _gate_pmfs(config, [kappa])[0]
 
 
 def _car_pattern_distribution(config: ExperimentConfig) -> np.ndarray:
@@ -221,10 +239,10 @@ def _car_pattern_distribution(config: ExperimentConfig) -> np.ndarray:
       pulse-period window instead of a whole gate.
     """
     p, eta_s, eta_i, dark_a, dark_b = car_terms(config)
-    pi = np.zeros(4)
+    pi = np.zeros((1, 4))
     for weight, kind in _pair_arrangements(
         1.0 / config.source.extinction_ratio, eta_s, eta_i
     ):
-        pi[_CAR_PATTERN[kind]] += weight
+        pi[0, _CAR_PATTERN[kind]] += weight
     pair_count_pmf = folded_poisson(p, config.source.max_pairs)
-    return _compose_gate_pmf(pi, pair_count_pmf, dark_a, dark_b)
+    return _compose_gate_pmf(pi, pair_count_pmf, dark_a, dark_b)[0]

@@ -178,13 +178,13 @@ def config_errors(config: ExperimentConfig) -> list[str]:
             )
 
     bs = config.splitter
-    if bs.transmittance < 0.0:
+    if not bs.transmittance >= 0.0:
         errors.append(f"splitter.transmittance: must be >= 0 (got {bs.transmittance!r})")
-    if bs.reflectance < 0.0:
+    if not bs.reflectance >= 0.0:
         errors.append(f"splitter.reflectance: must be >= 0 (got {bs.reflectance!r})")
-    if bs.transmittance >= 0.0 and bs.reflectance >= 0.0 and bs.survival > 1.0 + 1e-12:
+    if bs.transmittance >= 0.0 and bs.reflectance >= 0.0 and not 0.0 < bs.survival <= 1.0 + 1e-12:
         errors.append(
-            f"splitter: T + R must be <= 1 (got {bs.transmittance!r} + {bs.reflectance!r})"
+            f"splitter: T + R must be in (0, 1] (got {bs.transmittance!r} + {bs.reflectance!r})"
         )
 
     for name, det in (("detector_a", config.detector_a), ("detector_b", config.detector_b)):

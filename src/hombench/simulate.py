@@ -38,13 +38,14 @@ from .exact import (
     _P10,
     _P11,
     _car_pattern_distribution,
+    _gate_pmfs,
     _pair_click_dist,
     _pair_pattern_probs,
     folded_poisson,
-    gate_pattern_distribution,
+    gate_pattern_distribution,  # not called here; perfbench/probe.py reads it here
 )
 from .fitting import FitResult, fit_dip
-from .model import ExperimentConfig, ScanPoint, validate
+from .model import ConfigError, ExperimentConfig, ScanPoint, validate
 
 SAMPLERS = ("multinomial", "per-gate")
 
@@ -231,9 +232,11 @@ def run_dip_scan(
     multinomial from the per-gate pmf (distributionally identical to
     simulating every gate, any gate count in O(1)); "per-gate" samples the
     stochastic chain itself (pair number, per-pair patterns, darks) in
-    `_DIP_BATCH`-gate batches, see `_simulate_batch`. Deterministic for a
-    given (config, seed, sampler) at any thread count: each (point, batch)
-    has its own generator from a fixed spawn key, and batch counts add.
+    `_DIP_BATCH`-gate batches, see `_simulate_batch`. Either way the
+    delays are checked and the pmfs of all points built once per scan, in
+    one pass over the overlaps. Deterministic for a given (config, seed,
+    sampler) at any thread count: each (point, batch) has its own
+    generator from a fixed spawn key, and batch counts add.
     """
     validate(config)
     if gates_per_point < 1:
@@ -242,29 +245,28 @@ def run_dip_scan(
         raise ValueError("delays must be non-empty")
     if sampler not in SAMPLERS:
         raise ValueError(f"sampler must be one of {SAMPLERS} (got {sampler!r})")
+    bad = [d for d in delays if not math.isfinite(d)]
+    if bad:
+        raise ConfigError([f"delay_ps: must be finite (got {float(bad[0])!r})"])
     base = _as_seedseq(seed)
-    configs = [replace(config, delay_ps=float(delay)) for delay in delays]
+    kappas = [amplitude_overlap(float(d), config.wavepacket.sigma_ps) for d in delays]
     counts = np.zeros((len(delays), 4), dtype=np.int64)
 
     if sampler == "multinomial":
-        for i, cfg in enumerate(configs):
-            counts[i] = _rng(_child(base, i)).multinomial(
-                gates_per_point, gate_pattern_distribution(cfg)
-            )
+        for i, pmf in enumerate(_gate_pmfs(config, kappas)):
+            counts[i] = _rng(_child(base, i)).multinomial(gates_per_point, pmf)
     else:
         pair_count_pmf = folded_poisson(
             config.source.mean_pairs_per_pulse, config.source.max_pairs
         )
         darks = (config.detector_a.dark_prob_per_gate,
                  config.detector_b.dark_prob_per_gate)
-        tasks = []
-        for i, cfg in enumerate(configs):
-            kappa = amplitude_overlap(cfg.delay_ps, cfg.wavepacket.sigma_ps)
-            cum = np.cumsum(_pair_pattern_probs(cfg, kappa))
-            tasks.extend(
-                (i, batch, min(_DIP_BATCH, gates_per_point - start), cum)
-                for batch, start in enumerate(range(0, gates_per_point, _DIP_BATCH))
-            )
+        cums = np.cumsum(_pair_pattern_probs(config, kappas), axis=1)
+        tasks = [
+            (i, batch, min(_DIP_BATCH, gates_per_point - start), cums[i])
+            for i in range(len(delays))
+            for batch, start in enumerate(range(0, gates_per_point, _DIP_BATCH))
+        ]
 
         def run_task(task):
             i, batch, size, cum = task

@@ -113,3 +113,15 @@ def test_config_errors_collects_every_violation(default_cfg):
 def test_splitter_overunity_survival_is_flagged(default_cfg):
     bad = replace(default_cfg, splitter=BeamSplitter(0.6, 0.6))
     assert any("T + R" in e for e in config_errors(bad))
+
+
+@pytest.mark.parametrize("t, r, field", [
+    (0.0, 0.0, "splitter: T + R"),  # would divide by zero in the effective splitter
+    (math.nan, 0.5, "splitter.transmittance"),
+    (0.5, math.nan, "splitter.reflectance"),
+])
+def test_degenerate_splitter_is_rejected(default_cfg, t, r, field):
+    bad = replace(default_cfg, splitter=BeamSplitter(t, r))
+    assert [e for e in config_errors(bad) if e.startswith(field)]
+    with pytest.raises(ConfigError, match="splitter"):
+        validate(bad)

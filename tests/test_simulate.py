@@ -202,6 +202,42 @@ class TestPmfCaches:
         warm = [gate_pattern_distribution(cfg).tobytes() for cfg in reversed(grid)]
         assert warm[::-1] == cold
 
+    def test_scan_rows_match_one_delay_builds(self, symmetric_cfg):
+        sigma = symmetric_cfg(0.03, 0.2, 1e-4).wavepacket.sigma_ps
+        delays = [-6.0, 0.0, 0.7, 3.0, 60.0 * sigma]
+        kappas = [amplitude_overlap(d, sigma) for d in delays]
+        assert kappas[1] == 1.0 and kappas[-1] == 0.0
+        for p in (0.01, 0.3, 2.0):
+            for eta in (0.05, 1.0):
+                cfg = symmetric_cfg(p, eta, 1e-4)
+                rows = exact._gate_pmfs(cfg, kappas)
+                pair_rows = exact._pair_pattern_probs(cfg, kappas)
+                assert rows.shape == pair_rows.shape == (len(delays), 4)
+                for d, kappa, row, pair_row in zip(delays, kappas, rows, pair_rows):
+                    one = gate_pattern_distribution(replace(cfg, delay_ps=d))
+                    assert row.tobytes() == one.tobytes(), (p, eta, d)
+                    assert pair_row.tobytes() == (
+                        exact._pair_pattern_probs(cfg, kappa).tobytes()
+                    ), (p, eta, d)
+
+    @pytest.mark.parametrize("sampler", ["multinomial", "per-gate"])
+    def test_scan_builds_pair_probs_once_per_row(
+        self, symmetric_cfg, monkeypatch, sampler
+    ):
+        calls = []
+        pair_probs = exact._pair_pattern_probs
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return pair_probs(*args, **kwargs)
+
+        monkeypatch.setattr(exact, "_pair_pattern_probs", counted)
+        monkeypatch.setattr(simulate, "_pair_pattern_probs", counted)
+        delays = np.linspace(-12.0, 12.0, 401).tolist()
+        run_visibility_sweep(symmetric_cfg(0.03, 0.2, 1e-4), [0.02, 0.05], 10_000,
+                             seed=6, delays=delays, sampler=sampler)
+        assert len(calls) == 2
+
 
 @given(
     leak=st.floats(0.0, 0.5),
@@ -374,6 +410,14 @@ class TestRunDipScan:
             run_dip_scan(cfg, [0.0], 1000, seed=0, sampler="bogus")
         with pytest.raises(ConfigError):
             run_dip_scan(replace(cfg, delay_ps=math.nan), [0.0], 1000, seed=0)
+
+    @pytest.mark.parametrize("sampler", ["multinomial", "per-gate"])
+    def test_non_finite_delay_rejected(self, symmetric_cfg, sampler):
+        cfg = symmetric_cfg(0.05, 0.2, 1e-4)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"delay_ps: must be finite (got {bad!r})")):
+                run_dip_scan(cfg, [0.0, bad, 1.0], 10**5, seed=1, sampler=sampler)
 
 
 class TestRunCar:
