@@ -9,8 +9,9 @@ exact distributions of `exact`.
 Determinism contract: every public run takes a seed, derives one child
 generator per (point, batch) through named SeedSequence spawn keys, and
 merges batch counts by commutative addition (a dip batch is 2^20 gates,
-a CAR batch 2^13 clicks). Results are bit-for-bit stable under any worker
-count; the HOMBENCH_THREADS environment variable changes speed only.
+a CAR block 2^13 short gaps between clicks). Results are bit-for-bit
+stable under any worker count; the HOMBENCH_THREADS environment variable
+changes speed only.
 """
 
 from __future__ import annotations
@@ -49,11 +50,11 @@ from .model import ConfigError, ExperimentConfig, ScanPoint, validate
 
 SAMPLERS = ("multinomial", "per-gate")
 
-# Gates per dip random-stream batch, clicks per CAR batch; each (point,
-# batch) gets its own child seed, so these fix the streams, not just the
-# work split.
+# Gates per dip random-stream batch, short click gaps per CAR block; each
+# (point, batch) gets its own child seed, so these fix the streams, not just
+# the work split.
 _DIP_BATCH = 1 << 20
-_CAR_CLICKS = 1 << 13
+_CAR_SHORT_GAPS = 1 << 13
 
 
 class InsufficientStatisticsError(RuntimeError):
@@ -307,6 +308,43 @@ def _offset_walk(pos: np.ndarray, pat: np.ndarray, n_old: int, k_max: int) -> np
     return hist[1:]
 
 
+def _cluster_clicks(
+    rng: np.random.Generator, last: int, gates: int, k: int, q: float, lam: float
+) -> tuple[np.ndarray, int]:
+    """Draw one CAR block of `_CAR_SHORT_GAPS` short gaps after gate `last`.
+
+    Returns the sorted gates of the clicks next to a short gap, the last of
+    them ending the block, and the number of clicks inside runs of long
+    gaps that fall before `gates`. See `run_car` for the decomposition.
+    """
+    gap = (rng.standard_exponential(_CAR_SHORT_GAPS) / lam).astype(np.int64) + 1
+    # gap - 1 = R k + (S - 1): R ~ geometric(s) long gaps precede a short
+    # gap S <= k, independent of R. Only a gap > k carries a run.
+    run = np.flatnonzero(gap > k)
+    if not run.size:  # usual when clicks are dense: skip ~60 us of empty calls
+        return last + np.cumsum(gap), 0
+    r = (gap[run] - 1) // k
+    short = gap[run] - k * r
+    excess = rng.negative_binomial(r, q)
+    gap[run] += r + excess  # R long gaps sum to R (k + 1) + NegBinomial(R, q)
+    end = last + np.cumsum(gap)
+    entry = end[run] - short  # the click that ends each run
+    # The R - 1 clicks inside a run have long gaps on both sides.
+    isolated = int((r[entry < gates] - 1).sum())
+    i = int(np.searchsorted(entry, gates))
+    if i < run.size and r[i] > 1:
+        # The run across the last gate: given their sum, its long gaps'
+        # excess failures are a uniform weak composition into R parts.
+        cuts = np.sort(rng.choice(excess[i] + r[i] - 1, r[i] - 1,
+                                  replace=False, shuffle=False))
+        start = entry[i] - excess[i] - r[i] * (k + 1)
+        # The m-th inner click sits at start + m k + cuts[m - 1] + 1.
+        isolated += np.count_nonzero(cuts + k * np.arange(1, r[i]) < gates - 1 - start)
+    new = np.repeat(end, 1 + (gap > k))  # each run's last click goes before its end
+    new[run + np.arange(run.size)] = entry
+    return new, isolated
+
+
 def run_car(
     config: ExperimentConfig,
     gates: int,
@@ -321,13 +359,23 @@ def run_car(
     must park the interferometer far off the dip (overlap below 1e-6) so
     that matched counting is interference-free.
 
-    The sampler is exact at any click density and costs per click. Gates
-    click independently with probability q, so the gaps between clicks
-    are geometric(q): a batch draws `_CAR_CLICKS` of them as floor(E /
-    lambda) + 1, E standard exponential and lambda = -log(1 - q) (Devroye
-    1986, ch. V), and one uniform per click picks its pattern. Offsets are
-    counted batch by batch, with the clicks of the previous n_offset_slots
-    gates carried in, so memory is O(batch) however many gates run.
+    The sampler is exact at any click density and costs per cluster of
+    clicks, not per click. Gates click independently with probability q,
+    so the gaps between clicks are iid geometric(q) (Devroye 1986, ch. V).
+    Only short gaps, of at most K = n_offset_slots gates (probability
+    s = 1 - (1 - q)^K), join a pair that can be counted. A block draws
+    `_CAR_SHORT_GAPS` short gaps, each from one standard exponential E:
+    floor(E / lambda) = R K + (S - 1), lambda = -log(1 - q), gives the
+    short gap S and, independent of it, the R ~ geometric(s) long gaps
+    before it, whose summed length is R (K + 1) + NegBinomial(R, q) in one
+    draw. The clicks next to a short gap take their positions from one
+    cumsum and one pattern uniform each. The R - 1 clicks inside a run of
+    long gaps pair with nothing, and one multinomial per block picks their
+    patterns. The run that crosses the last gate places its clicks
+    exactly: given their sum, iid geometric excesses are a uniform weak
+    composition, so R - 1 cut points do. Offsets are counted block by
+    block, with the clicks of the previous n_offset_slots gates carried
+    in, so memory is O(block) however many gates run.
 
     See `_car_pattern_distribution` for the detection geometry and the
     per-slot dark-count convention.
@@ -360,27 +408,30 @@ def run_car(
         )
 
     base = _as_seedseq(seed)
+    k = n_offset_slots
     q = 1.0 - pmf[_P00]
     lam = -math.log1p(-q) if q < 1.0 else math.inf  # q = 1: every gap is 1
     t_b, t_ab = pmf[_P01] / q, (pmf[_P01] + pmf[_P10]) / q  # B only, A only
     counts = np.zeros(4, dtype=np.int64)
-    hist = np.zeros(n_offset_slots, dtype=np.int64)
-    pos = pat = np.zeros(0, dtype=np.int64)  # clicks within reach of a batch
-    last, batch = -1, 0
+    hist = np.zeros(k, dtype=np.int64)
+    # Cluster clicks within reach of the next block, and their patterns.
+    pos, pat = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int8)
+    last, block = -1, 0
     while last < gates - 1:
-        rng = _rng(_child(base, batch))
-        gaps = (rng.standard_exponential(_CAR_CLICKS) / lam).astype(np.int64) + 1
-        u = rng.random(_CAR_CLICKS)
-        new = last + np.cumsum(gaps)
+        rng = _rng(_child(base, block))
+        new, isolated = _cluster_clicks(rng, last, gates, k, q, lam)
+        u = rng.random(new.size)
+        counts[_P01:] += rng.multinomial(isolated, pmf[_P01:] / q)
         last, n_new, n_old = int(new[-1]), int(np.searchsorted(new, gates)), pos.size
         pos = np.concatenate((pos, new[:n_new]))
-        pat = np.concatenate((pat, _P01 + (u[:n_new] >= t_b) + (u[:n_new] >= t_ab)))
+        u = u[:n_new]
+        pat = np.concatenate((pat, np.add(u >= t_b, u >= t_ab, dtype=np.int8) + _P01))
         counts += np.bincount(pat[n_old:], minlength=4)
-        # Each pair is counted in the batch that holds its later click.
-        hist += _offset_walk(pos, pat, n_old, n_offset_slots)
-        keep = np.searchsorted(pos, last - n_offset_slots, side="right")
+        # Each pair is counted in the block that holds its later click.
+        hist += _offset_walk(pos, pat, n_old, k)
+        keep = np.searchsorted(pos, last - k, side="right")
         pos, pat = pos[keep:], pat[keep:]
-        batch += 1
+        block += 1
 
     matched = int(counts[_P11])
     unmatched = [int(k) for k in hist]

@@ -27,7 +27,7 @@ from hombench import (
 from hombench import exact, fock, simulate
 from hombench.analytics import car_terms
 from hombench.exact import _car_pattern_distribution, _pair_arrangements, folded_poisson
-from hombench.simulate import _offset_walk, thread_cap
+from hombench.simulate import CarResult, _offset_walk, thread_cap
 
 # Pattern vector order: (no click, B only, A only, both).
 FROZEN_DEFAULT_PMF = [
@@ -420,21 +420,47 @@ class TestRunDipScan:
                 run_dip_scan(cfg, [0.0, bad, 1.0], 10**5, seed=1, sampler=sampler)
 
 
+def _bright(cfg):
+    """The bright corner of a config: p = 2 and lossless channels."""
+    return replace(
+        cfg,
+        source=replace(cfg.source, mean_pairs_per_pulse=2.0),
+        channel_s=replace(cfg.channel_s, transmittance=1.0),
+        channel_i=replace(cfg.channel_i, transmittance=1.0),
+    )
+
+
 class TestRunCar:
     def test_frozen_pattern_distribution(self, default_cfg):
         parked = replace(default_cfg, delay_ps=10.0 * default_cfg.wavepacket.sigma_ps)
-        bright = replace(
-            parked,
-            source=replace(parked.source, mean_pairs_per_pulse=2.0),
-            channel_s=replace(parked.channel_s, transmittance=1.0),
-            channel_i=replace(parked.channel_i, transmittance=1.0),
-        )
+        bright = _bright(parked)
         np.testing.assert_allclose(
             _car_pattern_distribution(parked), FROZEN_CAR_PMF, rtol=1e-10
         )
         np.testing.assert_allclose(
             _car_pattern_distribution(bright), FROZEN_BRIGHT_CAR_PMF, rtol=1e-10
         )
+
+    @pytest.mark.parametrize("bright", [False, True])
+    def test_pinned_result_per_benchmark_config(self, default_cfg, bright):
+        # The perfbench car-sparse and car-bright configs at a fixed seed. No
+        # gap of the bright run exceeds the 10 offsets, so its blocks draw
+        # what a per-click sampler draws, and it equals the earlier stream.
+        cfg = replace(default_cfg, delay_ps=10.0 * default_cfg.wavepacket.sigma_ps)
+        if bright:
+            cfg = _bright(cfg)
+            expected = CarResult(
+                431965, (373610, 373540, 373407, 373468, 373412, 373397, 373321,
+                         373417, 373276, 373403),
+                1.156752045818559, 9.317853830147799e-06, 500_000, 432132, 432108)
+        else:
+            expected = CarResult(
+                6007, (199, 196, 209, 215, 218, 191, 209, 201, 200, 172),
+                29.88557212286642, 0.029556184270189204, 10**10, 1361601, 1467849)
+        result = run_car(cfg, expected.gates, seed=14)
+        assert result == replace(
+            expected, car=pytest.approx(expected.car, rel=1e-12),
+            p_estimate=pytest.approx(expected.p_estimate, rel=1e-12))
 
     def test_requires_off_dip_delay(self, symmetric_cfg):
         cfg = symmetric_cfg(0.03, 0.1, 1e-4)  # delay 0: on the dip
@@ -496,43 +522,75 @@ class TestRunCar:
     def test_batched_offsets_match_a_whole_run_count(
         self, symmetric_cfg, monkeypatch, batch, k_max
     ):
-        # Offsets longer than a batch carry clicks over many batches. The
+        # Offsets longer than a block carry clicks over many blocks. The
         # walk visits every carried click within k_max gates, so dense
-        # clicks (86% of gates) run only with the short offsets.
+        # clicks (86% of gates) run only with the short offsets. At
+        # k_max = 1 most gaps are long, so runs, their inner clicks and a
+        # run across the last gate occur in every case.
         sparse = symmetric_cfg(0.05, 0.2, 1e-4, delay_ps=60.0)
         if batch is None:
             cfg, gates = sparse, 2_000_000
         else:
-            monkeypatch.setattr(simulate, "_CAR_CLICKS", batch)
+            monkeypatch.setattr(simulate, "_CAR_SHORT_GAPS", batch)
             dense = symmetric_cfg(2.0, 1.0, 1e-4, delay_ps=60.0)
             cfg, gates = (sparse if k_max > 10 else dense), 6000
         result = run_car(cfg, gates, n_offset_slots=k_max, seed=5)
 
-        # The whole-run count: the same batch streams, every click of the
-        # run kept, one intersection per offset.
+        # The whole-run count: the same block streams replayed gap by gap,
+        # every click of the run placed, one intersection per offset. The
+        # clicks inside a run have gaps > k_max on both sides, so any such
+        # placement pairs with nothing; the one run across the last gate is
+        # placed by its cut points, which decide how many of them count.
         pmf = _car_pattern_distribution(cfg)
         q = 1.0 - pmf[0]
         base = np.random.SeedSequence(5)
-        pos_chunks, u_chunks = [], []
-        last = -1
+        pos, pat = [], []
+        last, block = -1, 0
         while last < gates - 1:
-            rng = simulate._rng(simulate._child(base, len(pos_chunks)))
-            e = rng.standard_exponential(simulate._CAR_CLICKS)
-            pos_chunks.append(last + np.cumsum(np.floor(e / -math.log1p(-q)) + 1))
-            u_chunks.append(rng.random(simulate._CAR_CLICKS))
-            last = pos_chunks[-1][-1]
-        pos = np.concatenate(pos_chunks).astype(np.int64)
-        u = np.concatenate(u_chunks)[pos < gates]
+            rng = simulate._rng(simulate._child(base, block))
+            e = rng.standard_exponential(simulate._CAR_SHORT_GAPS)
+            gaps = np.floor(e / -math.log1p(-q)).astype(np.int64) + 1
+            runs = (gaps - 1) // k_max
+            excess = iter(rng.negative_binomial(runs[runs > 0], q).tolist()
+                          if runs.any() else [])
+            cluster, inner, crossing = [], [], False
+            for gap, r in zip(gaps.tolist(), runs.tolist()):
+                if r:
+                    start, f = last, next(excess)
+                    last += r * (k_max + 1) + f
+                    if last < gates:
+                        inner += [start + m * (k_max + 1) for m in range(1, r)]
+                    else:
+                        if not crossing and r > 1:
+                            cuts = np.sort(rng.choice(f + r - 1, r - 1, replace=False,
+                                                      shuffle=False))
+                            inner += [start + m * k_max + int(c) + 1
+                                      for m, c in enumerate(cuts, start=1)]
+                        crossing = True
+                    cluster.append(last)
+                last += gap - r * k_max
+                cluster.append(last)
+            u = rng.random(len(cluster))
+            inner = [g for g in inner if g < gates]
+            n_b, n_a, n_ab = rng.multinomial(len(inner), pmf[1:] / q)
+            pos += cluster + inner
+            cluster_pat = np.where(u < pmf[1] / q, 1,
+                                   np.where(u < (pmf[1] + pmf[2]) / q, 2, 3))
+            pat += cluster_pat.tolist() + [1] * n_b + [2] * n_a + [3] * n_ab
+            block += 1
+        pos, pat = np.array(pos), np.array(pat)
+        order = np.argsort(pos)
+        pos, pat = pos[order], pat[order]
+        pat = pat[pos < gates]
         pos = pos[pos < gates]
-        b_only = u < pmf[1] / q
-        a_only = ~b_only & (u < (pmf[1] + pmf[2]) / q)
-        a, b = pos[~b_only], pos[~a_only]
+        assert np.all(np.diff(pos) > 0)
+        a, b = pos[pat != 1], pos[pat != 2]
         assert result.unmatched_coincidences == tuple(
             np.intersect1d(a, b - k, assume_unique=True).size
             for k in range(1, k_max + 1)
         )
         assert (result.singles_a, result.singles_b) == (a.size, b.size)
-        assert result.matched_coincidences == np.count_nonzero(~b_only & ~a_only)
+        assert result.matched_coincidences == np.count_nonzero(pat == 3)
 
     def test_memory_does_not_grow_with_the_run(self, default_cfg):
         # Reference instrument, 8e9 gates: about 1.1e6 clicks per detector.
@@ -556,36 +614,43 @@ class TestRunCar:
             tracemalloc.stop()
         assert peak < 8e6
 
-    @pytest.mark.parametrize("dense, gates", [(False, 10**9), (True, 2 * 10**6)])
-    def test_counts_track_the_slot_pmf(self, default_cfg, dense, gates):
-        # Singles, matched and every offset's accidentals at 5 sigma of the
-        # per-slot pmf; the dense run would catch an off-by-one in the gaps.
+    @pytest.mark.parametrize("dense, gates, seeds", [
+        pytest.param(False, 10**9, 1, id="False-1000000000"),
+        pytest.param(True, 2 * 10**6, 1, id="True-2000000"),
+        pytest.param(False, 6 * 10**8, 300, id="pooled-run-boundary"),
+    ])
+    def test_counts_track_the_slot_pmf(self, default_cfg, dense, gates, seeds):
+        # Singles, matched and every offset's accidentals, pooled over seeds,
+        # at 5 sigma of the per-slot pmf; the dense run would catch an
+        # off-by-one in the gaps. At the reference config a run of long gaps
+        # spans about 1.3e6 gates, so at 6e8 gates (just above the
+        # accidentals precheck) the part past the last gate of the run that
+        # crosses it holds about 0.2% of the clicks drawn: counting those
+        # clicks shifts the pooled A singles by about 12 sigma.
         cfg = replace(default_cfg, delay_ps=10.0 * default_cfg.wavepacket.sigma_ps)
         if dense:
-            cfg = replace(
-                cfg,
-                source=replace(cfg.source, mean_pairs_per_pulse=2.0),
-                channel_s=replace(cfg.channel_s, transmittance=1.0),
-                channel_i=replace(cfg.channel_i, transmittance=1.0),
-            )
+            cfg = _bright(cfg)
         pmf = _car_pattern_distribution(cfg)
         q_a, q_b = pmf[2] + pmf[3], pmf[1] + pmf[3]
-        result = run_car(cfg, gates, seed=23)
-        for observed, prob in ((result.singles_a, q_a), (result.singles_b, q_b),
-                               (result.matched_coincidences, pmf[3])):
-            mu = gates * prob
-            assert abs(observed - mu) <= 5.0 * math.sqrt(mu * (1.0 - prob))
+        results = [run_car(cfg, gates, seed=seed) for seed in range(23, 23 + seeds)]
+        for field, prob in (("singles_a", q_a), ("singles_b", q_b),
+                            ("matched_coincidences", pmf[3])):
+            observed = sum(getattr(r, field) for r in results)
+            mu = seeds * gates * prob
+            assert abs(observed - mu) <= 5.0 * math.sqrt(mu * (1.0 - prob)), field
         ab = q_a * q_b
-        for k, observed in enumerate(result.unmatched_coincidences, start=1):
+        for k in range(1, 11):
             # A(g)B(g+k) and A(g+k)B(g+2k) share gate g + k.
+            observed = sum(r.unmatched_coincidences[k - 1] for r in results)
             n = gates - k
             var = n * ab * (1.0 - ab) + 2 * (n - k) * ab * (pmf[3] - ab)
-            assert abs(observed - n * ab) <= 5.0 * math.sqrt(var), f"offset {k}"
+            assert abs(observed - seeds * n * ab) <= 5.0 * math.sqrt(seeds * var), (
+                f"offset {k}")
 
     def test_saturated_clicks_fill_every_gate(self, symmetric_cfg, monkeypatch):
-        # Every gate clicks both detectors, so each batch draws all of its
-        # gates, and offsets pair clicks across batch boundaries.
-        monkeypatch.setattr(simulate, "_CAR_CLICKS", 1000)
+        # Every gate clicks both detectors, so every gap is short, each block
+        # fills its gates, and offsets pair clicks across block boundaries.
+        monkeypatch.setattr(simulate, "_CAR_SHORT_GAPS", 1000)
         cfg = symmetric_cfg(50.0, 1.0, 1e-4, delay_ps=60.0, extinction=1e30)
         gates = 10_000
         result = run_car(cfg, gates, seed=0)
