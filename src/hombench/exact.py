@@ -169,8 +169,8 @@ def _compose_gate_pmf(
     powers = np.arange(pair_count_pmf.size)
 
     def mix(x: np.ndarray) -> np.ndarray:
-        # One dot per row: a matmul over all rows sums in another order.
-        return np.array([pair_count_pmf @ row for row in x[:, None] ** powers])
+        # One dot per row, as a lone row takes: a plain matmul sums in another order.
+        return (pair_count_pmf @ (x[:, None] ** powers)[..., None])[:, 0]
 
     e_a = mix(pair_probs[:, _P00] + pair_probs[:, _P01])  # pair leaves A silent
     e_b = mix(pair_probs[:, _P00] + pair_probs[:, _P10])

@@ -9,16 +9,15 @@ exact distributions of `exact`.
 Determinism contract: every public run takes a seed, derives one child
 generator per (point, batch) through named SeedSequence spawn keys, and
 merges batch counts by commutative addition (a dip batch is 2^20 gates,
-a CAR block 2^13 short gaps between clicks). Results are bit-for-bit
-stable under any worker count; the HOMBENCH_THREADS environment variable
-changes speed only.
+a CAR block 2^13 short gaps between clicks; a dip scan hashes all its
+keys in one numpy pass, to the same generators). Results are bit-for-bit
+stable under any worker count; HOMBENCH_THREADS changes speed only.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,6 +54,10 @@ SAMPLERS = ("multinomial", "per-gate")
 # the work split.
 _DIP_BATCH = 1 << 20
 _CAR_SHORT_GAPS = 1 << 13
+
+# SeedSequence's hash constants (NEP 19; O'Neill 2014, HMC-CS-2014-0905).
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_M32 = 0xFFFFFFFF
 
 
 class InsufficientStatisticsError(RuntimeError):
@@ -131,6 +134,46 @@ def _child(base: np.random.SeedSequence, *key: int) -> np.random.SeedSequence:
 
 def _rng(seq: np.random.SeedSequence) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
+
+
+@dataclass
+class _Words:
+    """Seed words hashed ahead, standing in for a SeedSequence in PCG64."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
+def _generators(base: np.random.SeedSequence, keys) -> list[np.random.Generator]:
+    """`_rng(_child(base, *key))` for each row of `keys`, in one numpy pass.
+
+    SeedSequence's own hash, over uint32 words held in uint64 arrays.
+    """
+    def hashmix(v: np.ndarray, init: int, mult: int, calls: int) -> np.ndarray:
+        # Call number `calls` from `init`; h is a Python int, as a numpy one warns on overflow.
+        h = init * pow(mult, calls, 1 << 32) & _M32
+        v = (v ^ h) * (h * mult & _M32) & _M32
+        return v ^ v >> 16
+
+    from numpy.random import bit_generator as bg  # not at import: it costs set-up
+    bg.ISeedSequence.register(_Words)
+    keys = np.asarray(keys, dtype=np.uint64).reshape(len(keys), -1)
+    assert (keys <= _M32).all(), "each key element must be one uint32 word"
+    # base.pool took four hash calls per word of its padded entropy.
+    n_words = (max(4, bg._coerce_to_uint32_array(base.entropy).size)
+               + bg._coerce_to_uint32_array(base.spawn_key).size)
+    pool = np.tile(base.pool.astype(np.uint64), (len(keys), 1))
+    for c, word in enumerate(keys.T, start=n_words):
+        for d in range(4):
+            v = hashmix(word, _INIT_A, _MULT_A, 4 * c + d)
+            mixed = (0xCA01F9DD * pool[:, d] - 0x4973F715 * v) & _M32
+            pool[:, d] = mixed ^ mixed >> 16
+    # generate_state(4, uint64): eight uint32 words cycling the pool, paired little-endian.
+    state = [hashmix(pool[:, d % 4], _INIT_B, _MULT_B, d) for d in range(8)]
+    words = np.stack(state[::2], axis=1) | np.stack(state[1::2], axis=1) << 32
+    return [np.random.Generator(np.random.PCG64(_Words(w))) for w in words]
 
 
 def simulate_gate(
@@ -210,14 +253,18 @@ def _simulate_batch(
     active = n_gates - int(by_n[0])
     click_a = np.zeros(active, dtype=bool)
     click_b = np.zeros(active, dtype=bool)
+    # Pattern k covers [cum[k - 1], cum[k]); u >= cum[3] clicks nowhere.
+    c01, c10, c11, c_all = pattern_cum.tolist()
     for slot in range(1, by_n.size):
         m = int(by_n[slot:].sum())
-        pat = np.searchsorted(pattern_cum, rng.random(m), side="right")
-        click_a[:m] |= (pat == _P10) | (pat == _P11)
-        click_b[:m] |= (pat == _P01) | (pat == _P11)
+        u = rng.random(m)
+        below = u < c_all
+        click_a[:m] |= (u >= c10) & below
+        click_b[:m] |= (u >= c01) & (u < c10) | (u >= c11) & below
     click_a |= rng.random(active) < dark_a
     click_b |= rng.random(active) < dark_b
-    return idle + np.bincount(2 * click_a + click_b, minlength=4)
+    n_a, n_b, n_ab = map(np.count_nonzero, (click_a, click_b, click_a & click_b))
+    return idle + np.array([active - n_a - n_b + n_ab, n_b - n_ab, n_a - n_ab, n_ab])
 
 
 def run_dip_scan(
@@ -254,29 +301,26 @@ def run_dip_scan(
     counts = np.zeros((len(delays), 4), dtype=np.int64)
 
     if sampler == "multinomial":
-        for i, pmf in enumerate(_gate_pmfs(config, kappas)):
-            counts[i] = _rng(_child(base, i)).multinomial(gates_per_point, pmf)
+        counts[:] = [rng.multinomial(gates_per_point, pmf) for pmf, rng in
+                     zip(_gate_pmfs(config, kappas), _generators(base, range(len(delays))))]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only this branch uses it
         pair_count_pmf = folded_poisson(
             config.source.mean_pairs_per_pulse, config.source.max_pairs
         )
         darks = (config.detector_a.dark_prob_per_gate,
                  config.detector_b.dark_prob_per_gate)
         cums = np.cumsum(_pair_pattern_probs(config, kappas), axis=1)
-        tasks = [
-            (i, batch, min(_DIP_BATCH, gates_per_point - start), cums[i])
-            for i in range(len(delays))
-            for batch, start in enumerate(range(0, gates_per_point, _DIP_BATCH))
-        ]
+        keys = [(i, batch) for i in range(len(delays))
+                for batch in range(-(-gates_per_point // _DIP_BATCH))]
 
-        def run_task(task):
-            i, batch, size, cum = task
-            return i, _simulate_batch(
-                _rng(_child(base, i, batch)), size, pair_count_pmf, cum, *darks
-            )
+        def run_task(key, rng):
+            i, batch = key
+            size = min(_DIP_BATCH, gates_per_point - batch * _DIP_BATCH)
+            return i, _simulate_batch(rng, size, pair_count_pmf, cums[i], *darks)
 
         with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
-            for i, batch_counts in pool.map(run_task, tasks):
+            for i, batch_counts in pool.map(run_task, keys, _generators(base, keys)):
                 counts[i] += batch_counts
 
     return [

@@ -3,6 +3,8 @@
 import ast
 import importlib
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -157,3 +159,19 @@ def test_layers_probe_can_clear_the_pmf_cache():
         "exact._pair_click_dist is out of reach of probe.py layers; fix it in "
         "a benchmark change (ROADMAP item 6)"
     )
+
+
+def test_import_and_config_load_leave_sampler_modules_unloaded(tmp_path):
+    # A fresh interpreter that imports hombench and loads a config (what the
+    # benchmark times as set-up) loads neither: the samplers import them.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"pairs_per_pulse": 0.05}))
+    code = (
+        "import sys, hombench\n"
+        "from hombench.configio import load_config\n"
+        f"load_config({str(path)!r})\n"
+        "print(sorted({'numpy.random', 'concurrent.futures'} & set(sys.modules)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

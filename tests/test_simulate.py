@@ -239,6 +239,17 @@ class TestPmfCaches:
         assert len(calls) == 2
 
 
+def test_stacked_dot_sums_each_row_as_a_lone_dot():
+    # exact._compose_gate_pmf mixes every row in one stacked call and relies
+    # on it giving each row's own dot bit for bit; a plain matmul does not.
+    rs = np.random.default_rng(3)
+    for n in range(3, 34):
+        pmf = rs.dirichlet(np.ones(n))
+        powers = rs.random(401)[:, None] ** np.arange(n)
+        stacked = (pmf @ powers[..., None])[:, 0]
+        assert stacked.tobytes() == np.array([pmf @ row for row in powers]).tobytes(), n
+
+
 @given(
     leak=st.floats(0.0, 0.5),
     u_s=st.floats(0.0, 1.0),
@@ -311,6 +322,61 @@ def test_simulate_gate_tracks_exact_pmf(symmetric_cfg):
     expected = pmf * n
     chi2 = ((counts - expected) ** 2 / expected).sum()
     assert chi2 < 16.27
+
+
+class TestGenerators:
+    @pytest.mark.parametrize("entropy", [0, 7, 2**32 - 1, 2**64 + 3, 2**128 + 5])
+    @pytest.mark.parametrize("spawn_key", [(), (3,), (2, 9)])
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_match_one_seed_sequence_per_key(self, entropy, spawn_key, width):
+        base = np.random.SeedSequence(entropy, spawn_key=spawn_key)
+        keys = np.random.default_rng(entropy % 101).integers(0, 2**32, (30, width))
+        keys[0], keys[1] = 0, 2**32 - 1
+        for key, rng in zip(keys.tolist(), simulate._generators(base, keys)):
+            ref = simulate._rng(simulate._child(base, *key))
+            assert rng.bit_generator.state == ref.bit_generator.state, key
+            assert rng.random(3).tobytes() == ref.random(3).tobytes(), key
+
+    def test_key_elements_are_single_words(self):
+        with pytest.raises(AssertionError, match="uint32"):
+            simulate._generators(np.random.SeedSequence(0), [(1, 2**32)])
+
+
+def _searchsorted_batch(rng, n_gates, pair_count_pmf, pattern_cum, dark_a, dark_b):
+    """`simulate._simulate_batch` as pattern indices and one bincount."""
+    by_n = rng.multinomial(n_gates, pair_count_pmf)
+    idle = rng.multinomial(by_n[0], [
+        (1.0 - dark_a) * (1.0 - dark_b), (1.0 - dark_a) * dark_b,
+        dark_a * (1.0 - dark_b), dark_a * dark_b,
+    ])
+    active = n_gates - int(by_n[0])
+    click_a = np.zeros(active, dtype=bool)
+    click_b = np.zeros(active, dtype=bool)
+    for slot in range(1, by_n.size):
+        m = int(by_n[slot:].sum())
+        pat = np.searchsorted(pattern_cum, rng.random(m), side="right")
+        click_a[:m] |= (pat == 2) | (pat == 3)
+        click_b[:m] |= (pat == 1) | (pat == 3)
+    click_a |= rng.random(active) < dark_a
+    click_b |= rng.random(active) < dark_b
+    return idle + np.bincount(2 * click_a + click_b, minlength=4)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_simulate_batch_matches_searchsorted_reference(seed):
+    rs = np.random.default_rng(seed)
+    pair_count_pmf = folded_poisson(rs.uniform(0.0, 2.0), int(rs.integers(2, 6)))
+    probs = rs.dirichlet(np.ones(4))
+    if seed % 4 == 1:
+        probs[rs.integers(4)] = 0.0  # a tie in the cum table
+    pattern_cum = np.cumsum(probs / probs.sum())
+    if seed % 3 == 0:
+        pattern_cum *= 0.97  # last entry below 1: some pairs click nowhere
+    args = (int(rs.integers(1, 60_000)), pair_count_pmf, pattern_cum,
+            *rs.uniform(0.0, 0.05, 2))
+    got = simulate._simulate_batch(np.random.default_rng([seed, 1]), *args)
+    want = _searchsorted_batch(np.random.default_rng([seed, 1]), *args)
+    assert got.tolist() == want.tolist()
 
 
 class TestRunDipScan:
