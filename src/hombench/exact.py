@@ -3,12 +3,16 @@
 A generated pair is routed with demultiplexer crosstalk, each photon
 survives its channel and the coupler, and whatever survived interferes
 exactly (probabilities from the `fock` oracle). Photons from different
-pairs of the same pulse are mutually distinguishable: pairs are
-independently heralded wavepackets, so a gate with n pairs composes n
-independent per-pair click distributions, and dark counts OR onto each
-threshold detector. Because the per-pair distributions are oracle
-outputs, the comparison against the closed-form visibility budget is a
-real cross-check rather than a restatement.
+pairs of the same pulse are mutually distinguishable, the multimode-source
+limit: a gate with n pairs composes n independent per-pair click
+distributions, so a Poisson pair number mixes in exactly through its
+generating function, and dark counts OR onto each threshold detector.
+Because the per-pair distributions are oracle outputs, the comparison
+against the closed-form visibility budget is a real cross-check rather
+than a restatement. A single-mode source, whose pairs of one pulse share
+one mode per arm, has a deeper dip 1 - P11(kappa=1) / P11(kappa=0) (Ou,
+Rhee & Wang, PRA 60, 593 (1999)): at eta = 0.05 with darks and crosstalk
+off, deeper by 0.0270 at p = 0.03 and by 0.0800 at p = 0.1.
 
 The overlap kappa enters as a mixture, not a superposition. A pair with
 one photon per arm is, with probability kappa^2, an indistinguishable
@@ -23,7 +27,6 @@ overlaps (`_gate_pmfs`).
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Iterator
 
@@ -48,17 +51,6 @@ _CAR_PATTERN = {"none": _P00, "single_i": _P01, "same_i": _P01,
 _FOCK_INPUT = {"same_s": (1, 1, 0, 0), "same_i": (0, 0, 1, 1),
                "single_s": (1, 0, 0, 0), "single_i": (0, 0, 1, 0),
                "twin": (1, 0, 1, 0), "split": (1, 0, 0, 1)}
-
-
-def folded_poisson(mean: float, max_n: int) -> np.ndarray:
-    """Poisson pmf truncated at max_n with the tail folded into the top bin."""
-    if mean < 0.0:
-        raise ValueError(f"mean must be >= 0 (got {mean!r})")
-    pmf = np.array(
-        [math.exp(-mean) * mean**n / math.factorial(n) for n in range(max_n + 1)]
-    )
-    pmf[max_n] += 1.0 - pmf.sum()
-    return pmf
 
 
 def _vec(pattern: dict[tuple[bool, bool], float]) -> np.ndarray:
@@ -154,27 +146,20 @@ def _pair_pattern_probs(config: ExperimentConfig, kappa: float | list[float]) ->
 
 
 def _compose_gate_pmf(
-    pair_probs: np.ndarray,
-    pair_count_pmf: np.ndarray,
-    dark_a: float,
-    dark_b: float,
+    pair_probs: np.ndarray, mean_pairs: float, dark_a: float, dark_b: float
 ) -> np.ndarray:
     """Gate-level click-pattern pmfs from independent pairs plus darks.
 
     One output row per row of per-pair probabilities. Pairs are independent
-    given their number n, so the per-gate no-click probabilities are
-    mixtures of n-th powers of the per-pair ones; darks multiply in as one
-    more independent veto per detector.
+    given their number n, so each per-gate no-click probability is the
+    Poisson mixture of n-th powers of a per-pair one, x: its generating
+    function, sum_n Pois(n; p) x^n = exp(-p (1 - x)). Darks multiply in as
+    one more independent veto per detector.
     """
-    powers = np.arange(pair_count_pmf.size)
-
-    def mix(x: np.ndarray) -> np.ndarray:
-        # One dot per row, as a lone row takes: a plain matmul sums in another order.
-        return (pair_count_pmf @ (x[:, None] ** powers)[..., None])[:, 0]
-
-    e_a = mix(pair_probs[:, _P00] + pair_probs[:, _P01])  # pair leaves A silent
-    e_b = mix(pair_probs[:, _P00] + pair_probs[:, _P10])
-    e_0 = mix(pair_probs[:, _P00])
+    # One pair leaves A silent, B silent and both silent with these x.
+    x00 = pair_probs[:, _P00]
+    x = np.stack([x00 + pair_probs[:, _P01], x00 + pair_probs[:, _P10], x00])
+    e_a, e_b, e_0 = np.exp(-mean_pairs * (1.0 - x))
 
     p00 = (1.0 - dark_a) * (1.0 - dark_b) * e_0
     p01 = (1.0 - dark_a) * e_a - p00
@@ -191,15 +176,9 @@ def _gate_pmfs(config: ExperimentConfig, kappas: list[float]) -> np.ndarray:
     checked once, and only the overlap kappa changes from row to row.
     """
     validate(config)
-    pair_probs = _pair_pattern_probs(config, kappas)
-    pair_count_pmf = folded_poisson(
-        config.source.mean_pairs_per_pulse, config.source.max_pairs
-    )
     return _compose_gate_pmf(
-        pair_probs,
-        pair_count_pmf,
-        config.detector_a.dark_prob_per_gate,
-        config.detector_b.dark_prob_per_gate,
+        _pair_pattern_probs(config, kappas), config.source.mean_pairs_per_pulse,
+        config.detector_a.dark_prob_per_gate, config.detector_b.dark_prob_per_gate,
     )
 
 
@@ -244,5 +223,4 @@ def _car_pattern_distribution(config: ExperimentConfig) -> np.ndarray:
         1.0 / config.source.extinction_ratio, eta_s, eta_i
     ):
         pi[0, _CAR_PATTERN[kind]] += weight
-    pair_count_pmf = folded_poisson(p, config.source.max_pairs)
-    return _compose_gate_pmf(pi, pair_count_pmf, dark_a, dark_b)[0]
+    return _compose_gate_pmf(pi, p, dark_a, dark_b)[0]

@@ -52,11 +52,10 @@ def fwhm_to_sigma(fwhm: float) -> float:
 
 @dataclass(frozen=True)
 class SourceParams:
-    """Pulsed pair source: mean pairs per pulse and demux crosstalk."""
+    """Pulsed pair source: Poisson mean pairs per pulse and demux crosstalk."""
 
     mean_pairs_per_pulse: float
     extinction_ratio: float  # linear power ratio, >= 1
-    max_pairs: int = 3  # truncation of the per-pulse pair number
 
 
 @dataclass(frozen=True)
@@ -162,8 +161,6 @@ def config_errors(config: ExperimentConfig) -> list[str]:
             f"source.extinction_ratio: must be finite and >= 1 "
             f"(got {src.extinction_ratio!r})"
         )
-    if src.max_pairs < 2:
-        errors.append(f"source.max_pairs: must be >= 2 (got {src.max_pairs!r})")
 
     if not (config.wavepacket.sigma_ps > 0.0 and math.isfinite(config.wavepacket.sigma_ps)):
         errors.append(

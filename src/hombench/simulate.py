@@ -1,6 +1,6 @@
 """Stochastic pulse-by-pulse simulation of the interference benchmark.
 
-The chain per gated pulse: Poisson pair generation (truncated), photon
+The chain per gated pulse: Poisson pair generation (untruncated), photon
 routing with demultiplexer crosstalk, per-photon channel and coupler
 survival, an interference draw for the survivors, and finally dark
 counts OR-ed onto each threshold detector. The samplers draw from the
@@ -41,7 +41,6 @@ from .exact import (
     _gate_pmfs,
     _pair_click_dist,
     _pair_pattern_probs,
-    folded_poisson,
     gate_pattern_distribution,  # not called here; perfbench/probe.py reads it here
 )
 from .fitting import FitResult, fit_dip
@@ -195,8 +194,7 @@ def simulate_gate(
     t_eff, r_eff = config.splitter.effective_t, config.splitter.effective_r
 
     click_a = click_b = False
-    n = min(rng.poisson(config.source.mean_pairs_per_pulse), config.source.max_pairs)
-    for _ in range(n):
+    for _ in range(rng.poisson(config.source.mean_pairs_per_pulse)):
         port_s = "i" if rng.random() < leak else "s"
         port_i = "s" if rng.random() < leak else "i"
         surv_s = rng.random() < u_by_port[port_s]
@@ -227,6 +225,22 @@ def simulate_gate(
     return GateRecord(gate_index, click_a, click_b)
 
 
+def _poisson_pmf(mean: float) -> np.ndarray:
+    """Pois(n; mean) for n = 0 .. N, N >= 3, the tail past N below 2^-64.
+
+    From n = 2 mean - 1 on, terms at least halve, so the tail is below the
+    last term. Terms from n = 3 on go through their logs, so exp(-mean) may
+    underflow without zeroing the pmf; the first three, all that the first
+    draw of `_simulate_batch` reads, keep the form exp(-mean) mean^n / n!.
+    """
+    log_mean = math.log(mean) if mean > 0.0 else -math.inf
+    pmf = [math.exp(-mean) * mean**n / math.factorial(n) for n in range(3)]
+    while len(pmf) < max(4.0, 2.0 * mean) or pmf[-1] >= 2.0**-64:
+        n = len(pmf)
+        pmf.append(math.exp(n * log_mean - mean - math.lgamma(n + 1)))
+    return np.array(pmf)
+
+
 def _simulate_batch(
     rng: np.random.Generator,
     n_gates: int,
@@ -238,14 +252,18 @@ def _simulate_batch(
     """Click-pattern counts of one batch of gates, sampled per gate.
 
     Gates are exchangeable, so a batch costs only its gates with pairs.
-    Draws, in this order: one multinomial splits the batch by pair number;
-    one more counts the pair-free gates over the four dark patterns; the
-    gates with pairs, ordered by descending pair number (so pair slot s is
-    the first `by_n[s:].sum()` of them), draw one pattern per pair from
-    `pattern_cum` and one dark uniform per detector. The stream layout
-    depends on the drawn counts alone: the batch generator fixes the result.
+    Draws, in this order: one multinomial splits the batch into gates with
+    0, 1, 2 and 3 or more pairs; one more counts the pair-free gates over
+    the four dark patterns; the gates with pairs, ordered by descending
+    pair number (so pair slot s is the first `by_n[s:].sum()` of them),
+    draw one pattern per pair from `pattern_cum` in slots 1 to 3, then one
+    dark uniform per detector; only if some gates hold 3 or more pairs, one
+    multinomial splits them over 3 .. N of `pair_count_pmf`, and slots 4
+    on draw likewise, up to the first empty slot. The stream layout depends
+    on the drawn counts alone: the batch generator fixes the result.
     """
-    by_n = rng.multinomial(n_gates, pair_count_pmf)
+    head = pair_count_pmf[:3]  # numpy gives the last bin what these leave
+    by_n = rng.multinomial(n_gates, [*head, max(0.0, 1.0 - head.sum())])
     idle = rng.multinomial(by_n[0], [
         (1.0 - dark_a) * (1.0 - dark_b), (1.0 - dark_a) * dark_b,
         dark_a * (1.0 - dark_b), dark_a * dark_b,
@@ -255,14 +273,22 @@ def _simulate_batch(
     click_b = np.zeros(active, dtype=bool)
     # Pattern k covers [cum[k - 1], cum[k]); u >= cum[3] clicks nowhere.
     c01, c10, c11, c_all = pattern_cum.tolist()
-    for slot in range(1, by_n.size):
-        m = int(by_n[slot:].sum())
-        u = rng.random(m)
-        below = u < c_all
-        click_a[:m] |= (u >= c10) & below
-        click_b[:m] |= (u >= c01) & (u < c10) | (u >= c11) & below
+
+    def draw_slots(by_bin: np.ndarray) -> None:  # slot j: gates in bins j and up
+        for m in np.cumsum(by_bin[::-1])[::-1].tolist():
+            if not m:
+                break
+            u = rng.random(m)
+            below = u < c_all
+            click_a[:m] |= (u >= c10) & below
+            click_b[:m] |= (u >= c01) & (u < c10) | (u >= c11) & below
+
+    draw_slots(by_n[1:])
     click_a |= rng.random(active) < dark_a
     click_b |= rng.random(active) < dark_b
+    if by_n[3]:
+        tail = pair_count_pmf[3:]
+        draw_slots(rng.multinomial(by_n[3], tail / tail.sum())[1:])
     n_a, n_b, n_ab = map(np.count_nonzero, (click_a, click_b, click_a & click_b))
     return idle + np.array([active - n_a - n_b + n_ab, n_b - n_ab, n_a - n_ab, n_ab])
 
@@ -305,9 +331,7 @@ def run_dip_scan(
                      zip(_gate_pmfs(config, kappas), _generators(base, range(len(delays))))]
     else:
         from concurrent.futures import ThreadPoolExecutor  # only this branch uses it
-        pair_count_pmf = folded_poisson(
-            config.source.mean_pairs_per_pulse, config.source.max_pairs
-        )
+        pair_count_pmf = _poisson_pmf(config.source.mean_pairs_per_pulse)
         darks = (config.detector_a.dark_prob_per_gate,
                  config.detector_b.dark_prob_per_gate)
         cums = np.cumsum(_pair_pattern_probs(config, kappas), axis=1)

@@ -40,7 +40,6 @@ MODULE_ONLY = {
     "temporal_decompose": "fock",
     "finite_difference_jacobian": "fitting",
     "GateRecord": "simulate",
-    "folded_poisson": "exact",
     "thread_cap": "simulate",
 }
 

@@ -316,15 +316,15 @@ FROZEN_FITS = [
      (1.303564430760161, 0.10396016736808572, 0.6916129591793564,
       0.33533617274447636)),
     ("reference_p", False,
-     (124.27405404391573, 0.8230166046130941, 1.599110614531998, None),
-     14.859209850656915, 6,
-     (4.100059579299643, 0.025508803621555363, 0.11537505006180145)),
+     (124.95950688699114, 0.8325453053104788, 1.6382962853902017, None),
+     17.122991508661954, 6,
+     (4.196085897021762, 0.025007665306514288, 0.11683315991381353)),
     ("reference_p", True,
-     (124.47356057138143, 0.8230423315763502, 1.6055080242029252,
-      -0.046049602142079614),
-     14.51261178302248, 6,
-     (4.1180972900019155, 0.025475295145079895, 0.11583403591121574,
-      0.07781291947401349)),
+     (125.2585885499418, 0.8332416654445587, 1.6427842808979423,
+      -0.10881604697167985),
+     15.083392675901909, 6,
+     (4.214186667261983, 0.02495457888211898, 0.11715885432327146,
+      0.07605647647712911)),
 ]
 
 

@@ -14,6 +14,7 @@ from hombench import (
     BeamSplitter,
     ConfigError,
     InsufficientStatisticsError,
+    OpticalChannel,
     amplitude_overlap,
     budget_from_config,
     car_prediction,
@@ -26,53 +27,44 @@ from hombench import (
 )
 from hombench import exact, fock, simulate
 from hombench.analytics import car_terms
-from hombench.exact import _car_pattern_distribution, _pair_arrangements, folded_poisson
+from hombench.exact import _car_pattern_distribution, _pair_arrangements, _pair_pattern_probs
 from hombench.simulate import CarResult, _offset_walk, thread_cap
 
 # Pattern vector order: (no click, B only, A only, both).
 FROZEN_DEFAULT_PMF = [
-    0.9993362815056325,
-    0.00043699678351516447,
-    0.00022662159694286643,
-    1.0011390949582477e-07,
+    0.9993362812512148,
+    0.00043699690916110256,
+    0.00022662172261589397,
+    1.001170082393088e-07,
 ]
 
 # CAR per-slot pmf, delay parked at 10 sigma: reference instrument, then
 # the bright corner p = 2, eta = 1.
 FROZEN_CAR_PMF = [
-    0.9997178352120629,
-    0.00014604772627968554,
-    0.00013552910100977922,
-    5.879606476133503e-07,
+    0.9997178349313576,
+    0.00014604786446614781,
+    0.0001355292391977958,
+    5.879649784823471e-07,
 ]
 FROZEN_BRIGHT_CAR_PMF = [
     0.13533238707330156,
-    0.00027282881468099207,
-    0.0002714022400492899,
-    0.8641233818719681,
+    0.00027282867232331087,
+    0.0002714020976931075,
+    0.864123382156682,
 ]
 
 
-class TestFoldedPoisson:
-    def test_matches_closed_form_below_the_fold(self):
-        pmf = folded_poisson(0.1, 3)
-        for k in range(3):
-            assert pmf[k] == pytest.approx(
-                math.exp(-0.1) * 0.1**k / math.factorial(k), rel=1e-12
-            )
+def _poisson_mixture(p, x):
+    """sum_n Pois(n; p) x^n, term by term until the terms vanish."""
+    return math.fsum(math.exp(-p) * p**n / math.factorial(n) * x**n for n in range(120))
 
-    def test_tail_mass_folds_into_last_bin(self):
-        pmf = folded_poisson(0.1, 3)
-        assert pmf.sum() == pytest.approx(1.0, abs=1e-15)
-        tail = 1.0 - sum(
-            math.exp(-0.1) * 0.1**k / math.factorial(k) for k in range(3)
-        )
-        assert pmf[3] == pytest.approx(tail, rel=1e-9)
 
-    def test_zero_mean_is_deterministic(self):
-        pmf = folded_poisson(0.0, 3)
-        assert pmf[0] == 1.0
-        assert pmf[1:].sum() == 0.0
+@pytest.mark.parametrize("p", [0.0, 0.03, 2.0, 30.0, 800.0])
+def test_poisson_pmf_sums_to_one(p):
+    pmf = simulate._poisson_pmf(p)
+    assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-12)
+    # The omitted tail is below 2^-64: the last term bounds it.
+    assert pmf[-1] < 2.0**-64 and pmf.size >= 2.0 * p
 
 
 class TestGatePatternDistribution:
@@ -90,7 +82,7 @@ class TestGatePatternDistribution:
 
     def test_far_delay_coincidence_floor(self, default_cfg):
         pmf = gate_pattern_distribution(replace(default_cfg, delay_ps=60.0))
-        assert pmf[3] == pytest.approx(3.3204577343237673e-07, rel=1e-10)
+        assert pmf[3] == pytest.approx(3.320491224201305e-07, rel=1e-10)
 
     def test_kappa_override_matches_far_delay(self, default_cfg):
         far = gate_pattern_distribution(replace(default_cfg, delay_ps=1e4))
@@ -103,6 +95,74 @@ class TestGatePatternDistribution:
             symmetric_cfg(0.05, 0.2, 0.0, delay_ps=60.0)
         )
         assert on_dip[3] < off_dip[3]
+
+    @pytest.mark.parametrize("p", [0.0, 0.03, 1.0, 2.0, 5.0])
+    @pytest.mark.parametrize("kappa", [0.0, 0.6, 1.0])
+    def test_mixes_pair_numbers_by_their_poisson_law(self, default_cfg, p, kappa):
+        # The no-click probabilities of a gate: a pair leaves A silent with
+        # x = P00 + P01, B silent with P00 + P10, both silent with P00.
+        cfg = replace(default_cfg, source=replace(default_cfg.source, mean_pairs_per_pulse=p))
+        x00, x01, x10, _ = _pair_pattern_probs(cfg, [kappa])[0]
+        dark_a = cfg.detector_a.dark_prob_per_gate
+        dark_b = cfg.detector_b.dark_prob_per_gate
+        pmf = gate_pattern_distribution(cfg, kappa=kappa)
+        for got, want in (
+            (pmf[0], (1.0 - dark_a) * (1.0 - dark_b) * _poisson_mixture(p, x00)),
+            (pmf[0] + pmf[1], (1.0 - dark_a) * _poisson_mixture(p, x00 + x01)),
+            (pmf[0] + pmf[2], (1.0 - dark_b) * _poisson_mixture(p, x00 + x10)),
+        ):
+            assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [0.0, 0.03, 1.0, 2.0, 5.0])
+    @pytest.mark.parametrize("eta", [4.356e-3, 0.5, 1.0])
+    def test_car_pmf_mixes_pair_numbers_by_their_poisson_law(self, default_cfg, p, eta):
+        # Detector A reads arm s: a pair leaves it silent unless its signal
+        # stays in s or its idler leaks there, and that photon survives.
+        cfg = replace(
+            default_cfg, delay_ps=60.0,
+            source=replace(default_cfg.source, mean_pairs_per_pulse=p),
+            channel_s=OpticalChannel(eta), channel_i=OpticalChannel(0.8 * eta),
+        )
+        _, u_s, u_i, dark_a, dark_b = car_terms(cfg)
+        leak = 1.0 / cfg.source.extinction_ratio
+        a_silent = (1.0 - (1.0 - leak) * u_s) * (1.0 - leak * u_s)
+        b_silent = (1.0 - (1.0 - leak) * u_i) * (1.0 - leak * u_i)
+        silent = (1.0 - (1.0 - leak) * u_s - leak * u_i) * (1.0 - leak * u_s - (1.0 - leak) * u_i)
+        pmf = _car_pattern_distribution(cfg)
+        for got, want in (
+            (pmf[0], (1.0 - dark_a) * (1.0 - dark_b) * _poisson_mixture(p, silent)),
+            (pmf[0] + pmf[1], (1.0 - dark_a) * _poisson_mixture(p, a_silent)),
+            (pmf[0] + pmf[2], (1.0 - dark_b) * _poisson_mixture(p, b_silent)),
+        ):
+            assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("p, gap", [(0.03, 0.0270428), (0.1, 0.0800326)])
+    def test_multimode_limit_against_identical_pairs(self, symmetric_cfg, p, gap):
+        # The gate model treats the pairs of one pulse as distinguishable. If
+        # every photon of an arm shared one mode, the dip would be deeper:
+        # n pairs thinned to k_s, k_i photons by eta and interfered together
+        # by the oracle, darks and crosstalk off.
+        eta = 0.05
+        cfg = symmetric_cfg(p, eta, 0.0, extinction=1e300)
+        t, r = cfg.splitter.transmittance, cfg.splitter.reflectance
+
+        def identical_p11(kappa):
+            total = 0.0
+            for n in range(1, 9):
+                for k_s in range(n + 1):
+                    for k_i in range(max(2 - k_s, 0), min(n, 4 - k_s) + 1):
+                        thinned = (math.comb(n, k_s) * math.comb(n, k_i) * eta ** (k_s + k_i)
+                                   * (1.0 - eta) ** (2 * n - k_s - k_i))
+                        total += (math.exp(-p) * p**n / math.factorial(n) * thinned
+                                  * fock.coincidence_prob(k_s, k_i, kappa, t, r))
+            return total
+
+        def gate_p11(kappa):
+            return gate_pattern_distribution(cfg, kappa=kappa)[3]
+
+        identical = 1.0 - identical_p11(1.0) / identical_p11(0.0)
+        multimode = 1.0 - gate_p11(1.0) / gate_p11(0.0)
+        assert identical - multimode == pytest.approx(gap, abs=1e-6)
 
     def test_invalid_config_rejected(self, default_cfg):
         bad = replace(default_cfg, delay_ps=math.nan)
@@ -239,15 +299,23 @@ class TestPmfCaches:
         assert len(calls) == 2
 
 
-def test_stacked_dot_sums_each_row_as_a_lone_dot():
-    # exact._compose_gate_pmf mixes every row in one stacked call and relies
-    # on it giving each row's own dot bit for bit; a plain matmul does not.
-    rs = np.random.default_rng(3)
-    for n in range(3, 34):
-        pmf = rs.dirichlet(np.ones(n))
-        powers = rs.random(401)[:, None] ** np.arange(n)
-        stacked = (pmf @ powers[..., None])[:, 0]
-        assert stacked.tobytes() == np.array([pmf @ row for row in powers]).tobytes(), n
+@given(t=st.floats(0.0, 1.0))
+@example(t=0.5172625244323762)  # the reference splitter
+def test_oracle_click_distributions_are_polynomials_in_t_and_r(t):
+    # (no click, B only, A only, both) of each oracle input through a
+    # lossless splitter with T = t, R = r.
+    r = 1.0 - t
+    expected = {
+        "twin": (0.0, 2 * t * r, 2 * t * r, (t - r) ** 2),
+        "split": (0.0, t * r, t * r, t * t + r * r),
+        "same_s": (0.0, r * r, t * t, 2 * t * r),
+        "same_i": (0.0, t * t, r * r, 2 * t * r),
+        "single_s": (0.0, r, t, 0.0),
+        "single_i": (0.0, t, r, 0.0),
+    }
+    for kind, want in expected.items():
+        np.testing.assert_allclose(exact._pair_click_dist(kind, t, r), want,
+                                   rtol=0, atol=1e-12, err_msg=kind)
 
 
 @given(
@@ -344,7 +412,8 @@ class TestGenerators:
 
 def _searchsorted_batch(rng, n_gates, pair_count_pmf, pattern_cum, dark_a, dark_b):
     """`simulate._simulate_batch` as pattern indices and one bincount."""
-    by_n = rng.multinomial(n_gates, pair_count_pmf)
+    head = pair_count_pmf[:3]
+    by_n = rng.multinomial(n_gates, [*head, max(0.0, 1.0 - head.sum())])
     idle = rng.multinomial(by_n[0], [
         (1.0 - dark_a) * (1.0 - dark_b), (1.0 - dark_a) * dark_b,
         dark_a * (1.0 - dark_b), dark_a * dark_b,
@@ -352,20 +421,28 @@ def _searchsorted_batch(rng, n_gates, pair_count_pmf, pattern_cum, dark_a, dark_
     active = n_gates - int(by_n[0])
     click_a = np.zeros(active, dtype=bool)
     click_b = np.zeros(active, dtype=bool)
-    for slot in range(1, by_n.size):
-        m = int(by_n[slot:].sum())
+
+    def pair_slot(m):
         pat = np.searchsorted(pattern_cum, rng.random(m), side="right")
         click_a[:m] |= (pat == 2) | (pat == 3)
         click_b[:m] |= (pat == 1) | (pat == 3)
+
+    for slot in range(1, 4):
+        pair_slot(int(by_n[slot:].sum()))
     click_a |= rng.random(active) < dark_a
     click_b |= rng.random(active) < dark_b
+    if by_n[3]:
+        tail = pair_count_pmf[3:]
+        by_tail = rng.multinomial(by_n[3], tail / tail.sum())
+        for slot in range(1, by_tail.size):
+            pair_slot(int(by_tail[slot:].sum()))
     return idle + np.bincount(2 * click_a + click_b, minlength=4)
 
 
 @pytest.mark.parametrize("seed", range(24))
 def test_simulate_batch_matches_searchsorted_reference(seed):
     rs = np.random.default_rng(seed)
-    pair_count_pmf = folded_poisson(rs.uniform(0.0, 2.0), int(rs.integers(2, 6)))
+    pair_count_pmf = simulate._poisson_pmf(rs.uniform(0.0, 2.0))
     probs = rs.dirichlet(np.ones(4))
     if seed % 4 == 1:
         probs[rs.integers(4)] = 0.0  # a tie in the cum table
@@ -377,6 +454,15 @@ def test_simulate_batch_matches_searchsorted_reference(seed):
     got = simulate._simulate_batch(np.random.default_rng([seed, 1]), *args)
     want = _searchsorted_batch(np.random.default_rng([seed, 1]), *args)
     assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("p", [30.0, 100.0, 800.0])
+def test_simulate_batch_draws_bright_pair_rates(p):
+    # A pair leaves A or B silent with probability 1/4, so with p pairs a
+    # gate misses a coincidence with probability about 2 exp(-3p/4).
+    counts = simulate._simulate_batch(np.random.default_rng(5), 1000, simulate._poisson_pmf(p),
+                                      np.array([0.0, 0.25, 0.5, 1.0]), 0.0, 0.0)
+    assert counts.tolist() == [0, 0, 0, 1000]
 
 
 class TestRunDipScan:
@@ -416,25 +502,21 @@ class TestRunDipScan:
             z = (pt.coincidences - mu) / math.sqrt(mu * (1.0 - p11))
             assert abs(z) < 5.0, f"delay {pt.delay_ps}: z = {z:.2f}"
 
-    @pytest.mark.parametrize("p, eta, dark_a, dark_b, max_pairs", [
-        (2.0, 1.0, 1e-4, 1e-4, 3),  # dense
-        (0.03, 0.05, 0.05, 0.01, 3),  # dark-dominated
-        (0.0, 0.2, 0.2, 0.1, 3),  # no pairs: every click is a dark
-        (1.0, 0.2, 1e-4, 1e-4, 2),  # folded Poisson tail
-        (1.0, 0.2, 1e-4, 1e-4, 6),
+    @pytest.mark.parametrize("p, eta, dark_a, dark_b", [
+        (2.0, 1.0, 1e-4, 1e-4),  # dense
+        (0.03, 0.05, 0.05, 0.01),  # dark-dominated
+        (0.0, 0.2, 0.2, 0.1),  # no pairs: every click is a dark
+        (1.0, 0.2, 1e-4, 1e-4),  # Poisson tail past three pairs
+        (5.0, 0.2, 1e-4, 1e-4),  # most gates hold four pairs or more
     ])
     def test_per_gate_counts_track_exact_pmf(
-        self, symmetric_cfg, monkeypatch, p, eta, dark_a, dark_b, max_pairs
+        self, symmetric_cfg, monkeypatch, p, eta, dark_a, dark_b
     ):
         # Coincidences and both singles at 5 sigma, over several batches
         # with a ragged last one.
         monkeypatch.setattr(simulate, "_DIP_BATCH", 100_000)
         cfg = symmetric_cfg(p, eta, dark_a)
-        cfg = replace(
-            cfg,
-            source=replace(cfg.source, max_pairs=max_pairs),
-            detector_b=replace(cfg.detector_b, dark_prob_per_gate=dark_b),
-        )
+        cfg = replace(cfg, detector_b=replace(cfg.detector_b, dark_prob_per_gate=dark_b))
         gates = 450_000
         points = run_dip_scan(cfg, [0.0, 2.0], gates, seed=31, sampler="per-gate")
         for pt in points:
@@ -521,8 +603,8 @@ class TestRunCar:
                 1.156752045818559, 9.317853830147799e-06, 500_000, 432132, 432108)
         else:
             expected = CarResult(
-                6007, (199, 196, 209, 215, 218, 191, 209, 201, 200, 172),
-                29.88557212286642, 0.029556184270189204, 10**10, 1361601, 1467849)
+                5965, (210, 216, 218, 192, 197, 201, 183, 198, 174, 202),
+                29.959819169860626, 0.02946693457220441, 10**10, 1360355, 1467054)
         result = run_car(cfg, expected.gates, seed=14)
         assert result == replace(
             expected, car=pytest.approx(expected.car, rel=1e-12),
