@@ -17,7 +17,6 @@ points, no baseline leverage), did not converge, or is degenerate.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -255,9 +254,7 @@ def cmd_calibrate(args: argparse.Namespace, config: ExperimentConfig) -> _Outcom
         "target_visibility": args.target_visibility,
         "achieved_visibility": achieved,
     }
-    config_json = json.dumps(
-        configio.config_to_schema_dict(calibrated), indent=2, sort_keys=True
-    ) + "\n"
+    config_json = reporting.report_json(configio.config_to_schema_dict(calibrated))
     return EXIT_OK, calibrated, data, analytic, {"calibrated_config.json": config_json}
 
 

@@ -2,9 +2,9 @@
 
 A report is self-contained: it embeds the full config snapshot plus the
 seed, so re-running the tool with those reproduces the counts exactly.
-JSON is written with sorted keys and a fixed indent; apart from the
-`wall_seconds` field the bytes are a pure function of config, seed, and
-code version. CSV output is locale-independent ('.' decimal separator,
+JSON is json's indent-2 sorted form, written in pieces from its C encoder;
+apart from `wall_seconds` the bytes are a pure function of config, seed,
+and code version. CSV output is locale-independent ('.' decimal separator,
 ',' field separator) with one stable column schema for point data:
 
     delay_ps,gates,singles_a,singles_b,coincidences[,mean,stddev]
@@ -17,11 +17,12 @@ count columns then hold totals across repeats).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ._version import __version__
 from .configio import config_to_schema_dict
@@ -78,12 +79,61 @@ def build_report(
     }
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _encoder(level: int) -> json.JSONEncoder:
+    # No `indent`, so json takes its C encoder; items break to `level`.
+    return json.JSONEncoder(separators=(",\n" + "  " * level, ": "),
+                            sort_keys=True, allow_nan=False)
+
+
+def _flat(obj: dict | list | tuple) -> bool:
+    values = obj.values() if isinstance(obj, dict) else obj
+    return not any(isinstance(v, _CONTAINERS) for v in values)
+
+
+def _chunks(obj: Any, level: int) -> Iterator[str]:
+    """`json.dumps(obj, indent=2, sort_keys=True)` in pieces, `obj` at `level`;
+    one encoder call per container of scalars or list of flat dicts. Keys
+    above those must be str (TypeError otherwise)."""
+    pad, inner = "\n" + "  " * level, "\n" + "  " * (level + 1)
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        yield _encoder(level).encode(obj)
+    elif _flat(obj):
+        text = _encoder(level + 1).encode(obj)
+        yield text[0] + inner + text[1:-1] + pad + text[-1]
+    elif isinstance(obj, list) and all(isinstance(v, dict) and v and _flat(v) for v in obj):
+        # Encoded at the dicts' item indent, the breaks between dicts move
+        # out a level. JSON strings hold no raw newline, so "},\n" ends a dict.
+        deeper = inner + "  "
+        text = _encoder(level + 2).encode(obj)
+        text = text.replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
+        yield "[" + inner + "{" + deeper + text[2:-2] + inner + "}" + pad + "]"
+    elif isinstance(obj, dict):
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("keys must be str above the containers of scalars")
+        for i, key in enumerate(sorted(obj)):
+            yield ("," if i else "{") + inner + _encoder(0).encode(key) + ": "
+            yield from _chunks(obj[key], level + 1)
+        yield pad + "}"
+    else:
+        for i, value in enumerate(obj):
+            yield ("," if i else "[") + inner
+            yield from _chunks(value, level + 1)
+        yield pad + "]"
+
+
 def report_json(report: Mapping[str, Any]) -> str:
-    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return "".join(_chunks(report, 0)) + "\n"
 
 
 def write_report(report: Mapping[str, Any], path: str | Path) -> None:
-    Path(path).write_text(report_json(report))
+    """Write `report_json(report)` in pieces; one that fails to encode writes nothing."""
+    pieces = [*_chunks(report, 0), "\n"]
+    with Path(path).open("w") as fh:
+        fh.writelines(pieces)
 
 
 def _fmt(value: Any) -> str:

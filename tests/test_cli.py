@@ -17,6 +17,12 @@ def read_json(path):
         return json.load(fh)
 
 
+def assert_indent_2_sorted(path):
+    """The file's bytes are json's indent-2 sorted form of its content."""
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0
@@ -162,6 +168,7 @@ class TestDipScan:
         report = read_json(out / "report.json")
         assert report["data"]["repeats"] == 3
         assert len(report["data"]["repeat_stats"]) == 9
+        assert_indent_2_sorted(out / "report.json")
 
     def test_unfittable_scan_exits_no_convergence(self, tmp_path):
         # The calibrated defaults yield an almost empty scan at 100 gates
@@ -498,6 +505,8 @@ def test_every_subcommand_writes_one_envelope(
         proc = run_cli(command, *extra, "--format", fmt, "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert {p.name for p in out.iterdir()} == expected | always
+        for path in out.glob("*.json"):
+            assert_indent_2_sorted(path)
     report = read_json(tmp_path / "json" / "report.json")
     assert set(report) == {"schema_version", "tool", "kind", "seed", "config",
                            "analytic", "data", "wall_seconds"}

@@ -1,11 +1,117 @@
-"""CSV tables: one schema per table, empty cells for absent values."""
+"""Report JSON in json's indent-2 sorted form; CSV tables with one schema
+per table and empty cells for absent values."""
 
+import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hombench import ScanPoint
+from hombench import ScanPoint, default_config
 from hombench import reporting
+
+
+def _dumps(obj):
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+# Strings built from the characters the encoder's bracket and separator
+# edits look for, so a string that mimics a break between dicts shows up.
+_TEXT = st.text(st.sampled_from(list('{}[],: "\\\nxé☃')), max_size=6) | st.sampled_from(
+    ["}", "},", "},\n  {", "},\n      {", '"', "é"]
+)
+_SCALARS = (
+    st.none() | st.booleans() | st.integers(-(2**80), 2**80)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 1e300])
+    | _TEXT
+)
+_FLAT_DICTS = st.dictionaries(_TEXT, _SCALARS, max_size=4)
+_TREES = st.recursive(
+    _SCALARS | _FLAT_DICTS,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(_TEXT, children, max_size=4)
+        | st.lists(_FLAT_DICTS, max_size=4)
+    ),
+    max_leaves=30,
+)
+_KEYS = (
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | _TEXT
+)
+
+
+@settings(max_examples=300)
+@given(tree=_TREES)
+@example(tree={"rows": [{"points": [{"a": 1, "b": "},\n      {"}, {"a": -0.0}],
+                         "stats": [(87.5, 6.0), (1e300, 2**70)]}]})
+@example(tree=[{}, {"a": 1}])
+@example(tree={"a": [], "b": {}, "c": ()})
+def test_report_json_is_jsons_indent_2_sorted_form(tree):
+    assert reporting.report_json(tree) == _dumps(tree)
+
+
+@given(tree=st.recursive(
+    _SCALARS,
+    lambda children: (
+        st.dictionaries(_KEYS, children, max_size=3)
+        | st.lists(children, max_size=3)
+        | st.lists(st.dictionaries(_KEYS, _SCALARS, min_size=1, max_size=3), max_size=3)
+    ),
+    max_leaves=20,
+))
+def test_non_str_keys_match_json_or_are_refused(tree):
+    try:
+        expected = _dumps(tree)
+    except TypeError:
+        expected = None
+    try:
+        assert reporting.report_json(tree) == expected
+    except TypeError:
+        pass
+
+
+def _nested(value):
+    """`value` as a bare scalar, in a flat list, and deep in a report."""
+    return [value, [1, value], {"data": {"points": [{"a": 1.0}], "v": value}},
+            {"rows": [{"a": 1.0}, {"b": value}]}, {"x": [[value], {}]}]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_floats_are_refused(bad):
+    for tree in _nested(bad):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            reporting.report_json(tree)
+
+
+def test_numpy_integers_are_refused():
+    for tree in _nested(np.int64(3)):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            reporting.report_json(tree)
+
+
+def _report(value):
+    points = [ScanPoint(-1.5, 1000, 5, 20, 30), ScanPoint(0.25, 2000, 6, 21, 31)]
+    data = {"points": [reporting.point_to_dict(pt) for pt in points],
+            "repeat_stats": [(5.5, 0.5), (6.0, 1.0)], "value": value}
+    return reporting.build_report("dip-scan", default_config(), 5, data,
+                                  {"visibility_budget": 0.8}, 0.25)
+
+
+def test_write_report_writes_the_report_json_text(tmp_path):
+    path = tmp_path / "report.json"
+    reporting.write_report(_report("é"), path)
+    assert path.read_bytes() == reporting.report_json(_report("é")).encode("ascii")
+
+
+def test_unencodable_report_leaves_no_file(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        reporting.write_report(_report(math.nan), path)
+    assert not path.exists()
 
 
 def test_sweep_row_without_a_fit_leaves_its_estimates_empty():
