@@ -358,13 +358,24 @@ def run_dip_scan(
 def _offset_walk(pos: np.ndarray, pat: np.ndarray, n_old: int, k_max: int) -> np.ndarray:
     """Counts of A-then-B click pairs k = 1 .. k_max gates apart.
 
-    `pos` holds sorted, distinct click gates and `pat` their patterns; only
-    pairs whose later click is past the first `n_old` count. Pass m pairs
-    each click with the m-th after it. A pair of pass m + 1 spans one of
-    pass m, so the walk stops at the first pass with none within k_max.
+    `pos` holds sorted, distinct click gates and `pat` their patterns; a
+    pair is an A click at g and a B click at g + k not among the first
+    `n_old` (carried) clicks. Where the clicks span at most twice their
+    number of gates, offset k is one AND of the A and B indicators over
+    the span, shifted by k: gates are distinct, so each pair is one gate
+    g. Sparser clicks are walked: pass m pairs each click with the m-th
+    after it. A pair of pass m + 1 spans one of pass m, so the walk stops
+    at the first pass with none within k_max.
     """
     is_a, is_b = pat >= _P10, pat != _P10
     hist = np.zeros(k_max + 1, dtype=np.int64)
+    if pos.size and pos[-1] - pos[0] < 2 * pos.size:
+        a, b = np.zeros((2, pos[-1] - pos[0] + 1), dtype=bool)
+        a[pos[is_a] - pos[0]] = True
+        b[pos[n_old:][is_b[n_old:]] - pos[0]] = True
+        for k in range(1, min(k_max + 1, a.size)):  # offsets past the span add 0
+            hist[k] = np.count_nonzero(a[:-k] & b[k:])
+        return hist[1:]
     for m in range(1, pos.size):
         lo, hi = max(n_old - m, 0), pos.size - m
         d = pos[lo + m:] - pos[lo:hi]
@@ -443,7 +454,8 @@ def run_car(
     exactly: given their sum, iid geometric excesses are a uniform weak
     composition, so R - 1 cut points do. Offsets are counted block by
     block, with the clicks of the previous n_offset_slots gates carried
-    in, so memory is O(block) however many gates run.
+    in, so memory is O(block) however many gates run; dense blocks count
+    each offset with one AND of click indicators (`_offset_walk`).
 
     See `_car_pattern_distribution` for the detection geometry and the
     per-slot dark-count convention.
@@ -519,8 +531,9 @@ def run_car(
     try:
         p_estimate = invert_car(max(car, 1.0), *detection)
     except CalibrationError:
-        # Observed CAR above the model maximum (possible in the tails of
-        # low statistics): report the peak-rate point estimate.
+        # CAR above the model maximum (low-statistics tails) or below its
+        # value at p_max = 0.5 (every bright run): the peak-rate p is wrong
+        # for the latter. ROADMAP item 1 replaces this bounded inversion.
         p_estimate = car_peak_pair_rate(*detection)
     return CarResult(
         matched_coincidences=matched,

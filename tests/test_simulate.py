@@ -357,13 +357,31 @@ def _ints(*values):
 @example(clicks=(_ints(*range(30)), _ints(*[3] * 30), 10), k_max=3)  # long run
 @example(clicks=(_ints(*range(40)), _ints(*[2, 1] * 20), 25), k_max=12)
 def test_offset_walk_matches_intersections(clicks, k_max):
-    pos, pat, n_old = clicks
+    assert _offset_walk(*clicks, k_max).tolist() == _intersections(*clicks, k_max)
+
+
+def _intersections(pos, pat, n_old, k_max):
     a = pos[pat != 1]
     b = pos[n_old:][pat[n_old:] != 2]  # pairs are counted at their B click
-    assert _offset_walk(pos, pat, n_old, k_max).tolist() == [
-        np.intersect1d(a, b - k, assume_unique=True).size
-        for k in range(1, k_max + 1)
-    ]
+    return [np.intersect1d(a, b - k, assume_unique=True).size
+            for k in range(1, k_max + 1)]
+
+
+# Dense clicks (span at most twice their number) take the indicator path,
+# sparse ones the walk; gaps of 1..3 straddle the switch.
+@given(clicks=st.one_of(
+           st.lists(st.integers(1, 3), max_size=300),
+           st.lists(st.one_of(st.integers(1, 50), st.integers(1, 10**6)), max_size=60),
+       ).map(lambda gaps: np.cumsum(gaps).tolist()).flatmap(_clicks_with_patterns),
+       k_max=st.integers(1, 40))
+@example(clicks=(_ints(0, 1, 3, 6, 9), _ints(2, 3, 1, 3, 1), 1), k_max=10)  # span 2n
+@example(clicks=(_ints(0, 1, 3, 6, 10), _ints(2, 3, 1, 3, 1), 1), k_max=10)  # 2n + 1
+@example(clicks=(_ints(7), _ints(3), 0), k_max=5)  # one click
+@example(clicks=(_ints(), _ints(), 0), k_max=40)  # no clicks
+@example(clicks=(_ints(*range(10)), _ints(*[3] * 10), 10), k_max=40)  # all carried
+@example(clicks=(_ints(*range(0, 12, 2)), _ints(*[2, 3, 1] * 2), 2), k_max=40)  # k_max > span
+def test_offset_counts_match_intersections_dense_and_sparse(clicks, k_max):
+    assert _offset_walk(*clicks, k_max).tolist() == _intersections(*clicks, k_max)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -606,6 +624,34 @@ class TestRunCar:
                 5965, (210, 216, 218, 192, 197, 201, 183, 198, 174, 202),
                 29.959819169860626, 0.02946693457220441, 10**10, 1360355, 1467054)
         result = run_car(cfg, expected.gates, seed=14)
+        assert result == replace(
+            expected, car=pytest.approx(expected.car, rel=1e-12),
+            p_estimate=pytest.approx(expected.p_estimate, rel=1e-12))
+
+    @pytest.mark.parametrize("k", [1, 100])
+    def test_pinned_bright_result_at_offset_extremes(self, default_cfg, k):
+        # car-bright's config at the fewest and at many offsets: the dense
+        # offset count loops once and a hundred times per block. No gap
+        # exceeds 10, so K = 100 draws the stream of the K = 10 pin.
+        cfg = _bright(replace(default_cfg, delay_ps=10.0 * default_cfg.wavepacket.sigma_ps))
+        expected = {
+            1: CarResult(432052, (373522,), 1.1566952840689437,
+                         9.317853830147799e-06, 500_000, 432201, 432201),
+            100: CarResult(431965, (
+                373610, 373540, 373407, 373468, 373412, 373397, 373321, 373417, 373276,
+                373403, 373537, 373397, 373487, 373439, 373459, 373541, 373293, 373498,
+                373493, 373432, 373319, 373518, 373442, 373391, 373412, 373282, 373377,
+                373381, 373356, 373328, 373533, 373398, 373471, 373599, 373467, 373434,
+                373591, 373406, 373446, 373437, 373413, 373362, 373548, 373524, 373525,
+                373439, 373415, 373442, 373460, 373418, 373317, 373426, 373493, 373390,
+                373441, 373337, 373342, 373321, 373412, 373264, 373440, 373515, 373452,
+                373455, 373375, 373466, 373472, 373423, 373417, 373342, 373502, 373231,
+                373456, 373354, 373486, 373350, 373316, 373346, 373355, 373332, 373261,
+                373392, 373558, 373322, 373274, 373376, 373280, 373384, 373286, 373395,
+                373300, 373394, 373344, 373346, 373431, 373306, 373398, 373404, 373334,
+                373432), 1.1566945238031348, 9.317853830147799e-06, 500_000, 432132, 432108),
+        }[k]
+        result = run_car(cfg, expected.gates, n_offset_slots=k, seed=14)
         assert result == replace(
             expected, car=pytest.approx(expected.car, rel=1e-12),
             p_estimate=pytest.approx(expected.p_estimate, rel=1e-12))
