@@ -18,6 +18,11 @@ import numpy as np
 
 from .model import BeamSplitter, ExperimentConfig
 
+# Upper pair rate of `invert_car`'s search, and the relative bracket width
+# at which `calibrate_eta`'s bisection stops.
+_CAR_P_MAX = 0.5
+_ETA_RTOL = 1e-12
+
 
 class NoAccidentalsError(ValueError):
     """The accidental-coincidence probability is exactly zero.
@@ -63,13 +68,12 @@ class DipModelParams:
     baseline is the coincidence level far from the dip; visibility is the
     normalized dip depth. The nominal visibility range is [0, 1]; values up
     to 1.02 are tolerated so that fits of noisy near-unity data are not
-    clipped. The splitter is a fixed instrument property, never fitted.
+    clipped.
     """
 
     baseline: float
     visibility: float
     sigma_ps: float
-    splitter: BeamSplitter
 
     def __post_init__(self) -> None:
         if not (self.baseline >= 0.0 and math.isfinite(self.baseline)):
@@ -99,27 +103,17 @@ def dip_curve(
     factor: float,
     center: float = 0.0,
 ) -> np.ndarray:
-    """`dip_model`'s lineshape over an array of delays.
+    """Expected coincidence level at each relative delay.
 
-    `factor` is `splitter_dip_factor` of the splitter; the fitter evaluates
-    this on every trial step.
+    N(dt) = baseline * (1 - factor * V * exp(-(dt - center)^2 / (2 sigma^2)))
+
+    `factor` is `splitter_dip_factor` of the splitter, 2TR / (T^2 + R^2).
+    The minimum sits at the center; the curve rises to the baseline as the
+    two wavepackets stop overlapping. The fitter evaluates this on every
+    trial step.
     """
     d = (delays - center) / sigma
     return baseline * (1.0 - factor * visibility * np.exp(-0.5 * d * d))
-
-
-def dip_model(delta_tau_ps: float, params: DipModelParams) -> float:
-    """Expected coincidence level at a given relative delay.
-
-    N(dt) = baseline * (1 - (2TR / (T^2 + R^2)) * V * exp(-dt^2 / (2 sigma^2)))
-
-    The minimum sits at zero delay; the curve rises to the baseline as the
-    two wavepackets stop overlapping.
-    """
-    factor = splitter_dip_factor(params.splitter)
-    return float(dip_curve(
-        delta_tau_ps, params.baseline, params.visibility, params.sigma_ps, factor
-    ))
 
 
 @dataclass(frozen=True)
@@ -216,7 +210,6 @@ def invert_car(
     eta_i: float,
     dark_a: float,
     dark_b: float,
-    p_max: float = 0.5,
 ) -> float:
     """Solve car_prediction for the pair rate on the falling branch.
 
@@ -224,7 +217,8 @@ def invert_car(
     p* = sqrt(dark_a dark_b / (eta_s eta_i)) and decreases beyond it. This
     inversion returns the solution with p >= p*, the branch a bright pair
     source operates on. Raises CalibrationError when the requested CAR
-    exceeds the achievable maximum or falls below the value at `p_max`.
+    exceeds the achievable maximum or falls below its value at the search
+    bound p = 0.5.
 
     With a dark-free detector p* = 0 and the CAR falls from its p -> 0+
     limit: 1 + eta / dark of the other detector, or +inf when both are
@@ -243,13 +237,13 @@ def invert_car(
         raise CalibrationError(
             f"CAR {car:g} exceeds the model maximum {car_lo:g} at p = {p_lo:g}"
         )
-    car_hi = car_prediction(p_max, eta_s, eta_i, dark_a, dark_b)
+    car_hi = car_prediction(_CAR_P_MAX, eta_s, eta_i, dark_a, dark_b)
     if car < car_hi:
         raise CalibrationError(
-            f"CAR {car:g} is below the value {car_hi:g} at the p = {p_max:g} "
+            f"CAR {car:g} is below the value {car_hi:g} at the p = {_CAR_P_MAX:g} "
             f"search bound"
         )
-    p_hi = p_max
+    p_hi = _CAR_P_MAX
     for _ in range(200):
         mid = 0.5 * (p_lo + p_hi)
         if car_prediction(mid, eta_s, eta_i, dark_a, dark_b) >= car:
@@ -259,24 +253,11 @@ def invert_car(
     return 0.5 * (p_lo + p_hi)
 
 
-def visibility_from_counts(
-    n_dip: float, n_baseline: float, splitter: BeamSplitter
-) -> float:
-    """Two-point visibility estimator, the algebraic inverse of dip_model.
-
-    V = (1 - n_dip / n_baseline) * (T^2 + R^2) / (2 T R)
-    """
-    if n_baseline == 0:
-        raise ZeroDivisionError("baseline count is zero; visibility undefined")
-    return (1.0 - n_dip / n_baseline) / splitter_dip_factor(splitter)
-
-
 def calibrate_eta(
     target_v: float,
     p: float,
     dark_prob: float,
     extinction_ratio: float,
-    tolerance: float = 1e-12,
 ) -> float:
     """Efficiency that makes the visibility budget hit `target_v`, by bisection.
 
@@ -313,7 +294,7 @@ def calibrate_eta(
             lo = mid
         else:
             hi = mid
-        if hi - lo < tolerance * max(hi, 1e-6):
+        if hi - lo < _ETA_RTOL * max(hi, 1e-6):
             break
     eta = 0.5 * (lo + hi)
     if abs(v_at(eta) - target_v) > 1e-9:

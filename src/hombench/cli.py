@@ -345,12 +345,12 @@ def cmd_visibility_sweep(
         if fit is not None:
             entry.update(
                 converged=fit.converged,
-                visibility_fit=fit.visibility,
+                visibility_fit=fit.params.visibility,
                 visibility_err=reporting.defined(fit.visibility_error),
-                sigma_fit_ps=fit.sigma_ps,
+                sigma_fit_ps=fit.params.sigma_ps,
                 sigma_err_ps=reporting.defined(fit.sigma_error),
             )
-            fitted = f"{fit.visibility:.4f} +/- {fit.visibility_error:.4f}"
+            fitted = f"{fit.params.visibility:.4f} +/- {fit.visibility_error:.4f}"
         print(f"{row.pairs_per_pulse:<16.4g} {fitted:<24} "
               f"{row.predicted_visibility:.4f}")
         table_rows.append(entry)

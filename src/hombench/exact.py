@@ -172,10 +172,11 @@ def _compose_gate_pmf(
 def _gate_pmfs(config: ExperimentConfig, kappas: list[float]) -> np.ndarray:
     """Exact per-gate click-pattern pmfs of `config`, one row per overlap.
 
-    A dip scan builds all its points here in one pass: the config is
-    checked once, and only the overlap kappa changes from row to row.
+    A dip scan builds all its points here in one pass, and only the overlap
+    kappa changes from row to row. The config is not checked here: both
+    callers, `run_dip_scan` and `gate_pattern_distribution`, validate it
+    first.
     """
-    validate(config)
     return _compose_gate_pmf(
         _pair_pattern_probs(config, kappas), config.source.mean_pairs_per_pulse,
         config.detector_a.dark_prob_per_gate, config.detector_b.dark_prob_per_gate,

@@ -1,12 +1,13 @@
 """Weighted nonlinear least squares for the coincidence-dip lineshape.
 
 A from-scratch Levenberg-Marquardt core (`levenberg_marquardt`) drives the
-dip fit (`fit_dip`). The damping schedule is the classic one, fixed in
-module constants: multiply the damping by 10 when a step is rejected,
-divide by 10 when accepted, with the Marquardt diagonal scaling. Parameter
-uncertainties come from the inverse of the weighted normal-equations
-matrix at the optimum; the dip fit reports the one the optimizer computed,
-mapped from its internal log-sigma coordinate to sigma.
+dip fit (`fit_dip`), which always hands it the lineshape's analytic
+Jacobian and its feasible box. The damping schedule is the classic one,
+fixed in module constants: multiply the damping by 10 when a step is
+rejected, divide by 10 when accepted, with the Marquardt diagonal scaling.
+Parameter uncertainties come from the inverse of the weighted
+normal-equations matrix at the optimum; the dip fit reports the one the
+optimizer computed, mapped from its internal log-sigma coordinate to sigma.
 
 The dip fit estimates (baseline, visibility, sigma); the splitter's T and
 R are instrument constants measured separately and are never fitted. An
@@ -48,25 +49,6 @@ class LMResult:
     message: str
 
 
-def finite_difference_jacobian(
-    model: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    x: np.ndarray,
-    theta: np.ndarray,
-    rel_step: float = 1e-6,
-) -> np.ndarray:
-    """Central-difference Jacobian with per-parameter step rel_step * scale."""
-    theta = np.asarray(theta, dtype=float)
-    cols = []
-    for j in range(theta.size):
-        h = rel_step * max(abs(theta[j]), 1.0)
-        up = theta.copy()
-        dn = theta.copy()
-        up[j] += h
-        dn[j] -= h
-        cols.append((model(x, up) - model(x, dn)) / (2.0 * h))
-    return np.column_stack(cols)
-
-
 def _covariance_from_normal(a: np.ndarray) -> tuple[np.ndarray, bool]:
     """Invert the normal matrix, detecting rank deficiency.
 
@@ -87,16 +69,15 @@ def levenberg_marquardt(
     y: np.ndarray,
     weights: np.ndarray,
     theta0: Sequence[float],
-    jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    project: Callable[[np.ndarray], np.ndarray],
     max_iterations: int = 200,
-    project: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> LMResult:
     """Minimize sum(w * (y - model(x, theta))^2) over theta.
 
-    `jacobian` returns the (n_points, n_params) matrix of model partials;
-    when omitted, central finite differences stand in. `project`, when
-    given, clamps a candidate parameter vector into its feasible box after
-    every trial step; the reported step size is the post-projection one.
+    `jacobian` returns the (n_points, n_params) matrix of model partials.
+    `project` clamps a parameter vector into its feasible box: the start
+    and every trial step; the reported step size is the post-projection one.
 
     Non-finite model output at the starting point aborts with ValueError.
     A trial step that produces non-finite output is treated as rejected,
@@ -108,14 +89,7 @@ def levenberg_marquardt(
     w = np.asarray(weights, dtype=float)
     if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite and > 0")
-    theta = np.asarray(theta0, dtype=float).copy()
-    if project is not None:
-        theta = project(theta)
-
-    def jac(th: np.ndarray) -> np.ndarray:
-        if jacobian is not None:
-            return np.asarray(jacobian(x, th), dtype=float)
-        return finite_difference_jacobian(model, x, th)
+    theta = project(np.asarray(theta0, dtype=float))
 
     f = np.asarray(model(x, theta), dtype=float)
     if not np.all(np.isfinite(f)):
@@ -129,7 +103,7 @@ def levenberg_marquardt(
     iterations = 0
 
     for iterations in range(1, max_iterations + 1):
-        J = jac(theta)
+        J = jacobian(x, theta)
         A = J.T @ (w[:, None] * J)
         g = J.T @ (w * r)
         diag = np.diag(A).copy()
@@ -143,9 +117,7 @@ def levenberg_marquardt(
             except np.linalg.LinAlgError:
                 lam *= _DAMPING_FACTOR
                 continue
-            cand = theta + step
-            if project is not None:
-                cand = project(cand)
+            cand = project(theta + step)
             f_c = np.asarray(model(x, cand), dtype=float)
             if not np.all(np.isfinite(f_c)):
                 lam *= _DAMPING_FACTOR
@@ -173,7 +145,7 @@ def levenberg_marquardt(
             message = "step size below tolerance"
             break
 
-    J = jac(theta)
+    J = jacobian(x, theta)
     A = J.T @ (w[:, None] * J)
     covariance, degenerate = _covariance_from_normal(A)
     if degenerate:
@@ -222,16 +194,8 @@ class FitResult:
                 for (name, est), err in zip(estimates, self.std_errors)]
 
     @property
-    def visibility(self) -> float:
-        return self.params.visibility
-
-    @property
     def visibility_error(self) -> float:
         return float(self.std_errors[1])
-
-    @property
-    def sigma_ps(self) -> float:
-        return self.params.sigma_ps
 
     @property
     def sigma_error(self) -> float:
@@ -356,10 +320,7 @@ def fit_dip(
     theta0 = [theta_ext[0], theta_ext[1], math.log(theta_ext[2])]
     if fit_center:
         theta0.append(0.0)
-    lm = levenberg_marquardt(
-        model, delays, counts, weights, theta0,
-        jacobian=jacobian, project=project,
-    )
+    lm = levenberg_marquardt(model, delays, counts, weights, theta0, jacobian, project)
 
     # lm.covariance is in (baseline, visibility, log sigma[, center]);
     # d sigma = sigma d(log sigma) maps it to the reported coordinates.
@@ -372,7 +333,7 @@ def fit_dip(
     std_errors = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
 
     return FitResult(
-        params=DipModelParams(b, v, s, splitter),
+        params=DipModelParams(b, v, s),
         std_errors=std_errors,
         covariance=covariance,
         chi_squared=lm.cost,

@@ -532,7 +532,7 @@ def run_car(
         p_estimate = invert_car(max(car, 1.0), *detection)
     except CalibrationError:
         # CAR above the model maximum (low-statistics tails) or below its
-        # value at p_max = 0.5 (every bright run): the peak-rate p is wrong
+        # value at the p = 0.5 bound (every bright run): the peak-rate p is wrong
         # for the latter. ROADMAP item 1 replaces this bounded inversion.
         p_estimate = car_peak_pair_rate(*detection)
     return CarResult(

@@ -1,4 +1,5 @@
-"""Shared fixtures, the CLI runner, and the acceptance-line reporter."""
+"""Shared fixtures, the CLI runner, the finite-difference Jacobian oracle,
+and the acceptance-line reporter."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import subprocess
 import sys
 from typing import Callable
 
+import numpy as np
 import pytest
 
 from hombench import (
@@ -99,3 +101,22 @@ def run_cli(
         env=env,
         check=False,
     )
+
+
+def finite_difference_jacobian(
+    model: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    x: np.ndarray,
+    theta: np.ndarray,
+    rel_step: float = 1e-6,
+) -> np.ndarray:
+    """Central-difference Jacobian with per-parameter step rel_step * scale."""
+    theta = np.asarray(theta, dtype=float)
+    cols = []
+    for j in range(theta.size):
+        h = rel_step * max(abs(theta[j]), 1.0)
+        up = theta.copy()
+        dn = theta.copy()
+        up[j] += h
+        dn[j] -= h
+        cols.append((model(x, up) - model(x, dn)) / (2.0 * h))
+    return np.column_stack(cols)

@@ -16,16 +16,14 @@ import time
 
 import numpy as np
 
-from conftest import run_cli
+from conftest import finite_difference_jacobian, run_cli
 from hombench import (
     BeamSplitter,
-    DipModelParams,
     ScanPoint,
     VisibilityBudget,
     car_prediction,
     coincidence_prob,
     default_config,
-    dip_model,
     evolve_fock,
     evolve_fock_ladder,
     fit_dip,
@@ -39,7 +37,7 @@ from hombench import (
     visibility_prediction,
 )
 from hombench.analytics import dip_curve as _dip_curve
-from hombench.fitting import _dip_jacobian_external, finite_difference_jacobian
+from hombench.fitting import _dip_jacobian_external
 from hombench.fock import temporal_decompose
 
 SPLITTER = BeamSplitter.from_db(-3.3, -3.6)
@@ -251,8 +249,8 @@ def test_criterion_4_exact_engine_oracles(criterion):
 
 
 def test_criterion_5_fitter_correctness(criterion):
-    truth = DipModelParams(1000.0, 0.8, 1.7, SPLITTER)
-    exact = [dip_model(d, truth) for d in DELAYS_21]
+    factor = splitter_dip_factor(SPLITTER)
+    exact = _dip_curve(np.array(DELAYS_21), 1000.0, 0.8, 1.7, factor).tolist()
 
     # Noiseless round trip; float counts so quantization cannot mask it.
     points = [
@@ -269,7 +267,6 @@ def test_criterion_5_fitter_correctness(criterion):
     # Delays stay within 3 sigma: far outside the dip the true derivatives
     # underflow and central differences return pure roundoff.
     rng = np.random.default_rng(100)
-    factor = splitter_dip_factor(SPLITTER)
     worst_jac = 0.0
     for _ in range(100):
         baseline = rng.uniform(100.0, 20000.0)
@@ -290,8 +287,7 @@ def test_criterion_5_fitter_correctness(criterion):
         worst_jac = max(worst_jac, float(np.max(np.abs(analytic - fd) / scale)))
 
     # 1-sigma coverage of the visibility estimate under Poisson noise.
-    cover_truth = DipModelParams(12000.0, 0.8, 1.7, SPLITTER)
-    expected = np.array([dip_model(d, cover_truth) for d in DELAYS_21])
+    expected = _dip_curve(np.array(DELAYS_21), 12000.0, 0.8, 1.7, factor)
     rng = np.random.default_rng(20260816)
     covered = 0
     for _ in range(500):

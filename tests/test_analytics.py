@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from hombench import (
@@ -15,16 +16,16 @@ from hombench import (
     budget_from_config,
     calibrate_eta,
     car_prediction,
-    dip_model,
     fwhm_to_sigma,
     indistinguishability,
     invert_car,
     splitter_dip_factor,
     visibility_prediction,
 )
-from hombench.analytics import car_peak_pair_rate, visibility_from_counts
+from hombench.analytics import car_peak_pair_rate, dip_curve
 
 REFERENCE_SPLITTER = BeamSplitter.from_db(-3.3, -3.6)
+REFERENCE_FACTOR = splitter_dip_factor(REFERENCE_SPLITTER)
 
 
 class TestIndistinguishability:
@@ -56,12 +57,12 @@ class TestIndistinguishability:
 class TestDipModel:
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            DipModelParams(-1.0, 0.8, 1.7, REFERENCE_SPLITTER)
+            DipModelParams(-1.0, 0.8, 1.7)
         with pytest.raises(ValueError):
-            DipModelParams(1000.0, 1.021, 1.7, REFERENCE_SPLITTER)
+            DipModelParams(1000.0, 1.021, 1.7)
         with pytest.raises(ValueError):
-            DipModelParams(1000.0, 0.8, 0.0, REFERENCE_SPLITTER)
-        DipModelParams(1000.0, 1.02, 1.7, REFERENCE_SPLITTER)  # overshoot tolerated
+            DipModelParams(1000.0, 0.8, 0.0)
+        DipModelParams(1000.0, 1.02, 1.7)  # overshoot tolerated
 
     def test_splitter_factor_balanced(self):
         assert splitter_dip_factor(BeamSplitter(0.5, 0.5)) == pytest.approx(1.0, rel=1e-15)
@@ -78,23 +79,24 @@ class TestDipModel:
             splitter_dip_factor(BeamSplitter(0.0, 0.0))
 
     def test_balanced_dip_floor(self):
-        params = DipModelParams(1000.0, 0.8, 1.7, BeamSplitter(0.5, 0.5))
-        assert dip_model(0.0, params) == pytest.approx(200.0, rel=1e-12)
+        balanced = splitter_dip_factor(BeamSplitter(0.5, 0.5))
+        floor = dip_curve(0.0, 1000.0, 0.8, 1.7, balanced)
+        assert floor == pytest.approx(200.0, rel=1e-12)
 
     def test_imbalanced_dip_floor(self):
-        params = DipModelParams(1000.0, 1.0, fwhm_to_sigma(4.0), REFERENCE_SPLITTER)
-        assert dip_model(0.0, params) == pytest.approx(2.381119753486427, abs=1e-9)
+        floor = dip_curve(0.0, 1000.0, 1.0, fwhm_to_sigma(4.0), REFERENCE_FACTOR)
+        assert floor == pytest.approx(2.381119753486427, abs=1e-9)
 
     def test_far_delay_returns_baseline(self):
-        params = DipModelParams(1000.0, 0.8, 1.7, REFERENCE_SPLITTER)
-        assert dip_model(1e3, params) == pytest.approx(1000.0, rel=1e-15)
+        far = dip_curve(1e3, 1000.0, 0.8, 1.7, REFERENCE_FACTOR)
+        assert far == pytest.approx(1000.0, rel=1e-15)
 
     def test_curve_stays_within_dip_bounds(self):
-        params = DipModelParams(1000.0, 0.9, 1.7, REFERENCE_SPLITTER)
-        floor = 1000.0 * (1.0 - splitter_dip_factor(REFERENCE_SPLITTER) * 0.9)
-        values = [dip_model(dt / 10.0, params) for dt in range(-80, 81)]
+        floor = 1000.0 * (1.0 - REFERENCE_FACTOR * 0.9)
+        delays = np.arange(-80, 81) / 10.0
+        values = dip_curve(delays, 1000.0, 0.9, 1.7, REFERENCE_FACTOR)
         assert all(floor - 1e-9 <= v <= 1000.0 + 1e-9 for v in values)
-        assert min(values) == dip_model(0.0, params)
+        assert values.min() == dip_curve(0.0, 1000.0, 0.9, 1.7, REFERENCE_FACTOR)
 
 
 class TestVisibilityBudget:
@@ -244,29 +246,6 @@ class TestCar:
             invert_car(too_high, 0.1, 0.1, 1e-5, 1e-5)
         with pytest.raises(ValueError):
             invert_car(0.5, 0.1, 0.1, 1e-5, 1e-5)
-
-
-class TestVisibilityFromCounts:
-    def test_no_dip_is_zero(self):
-        assert visibility_from_counts(500.0, 500.0, REFERENCE_SPLITTER) == 0.0
-
-    def test_full_dip_balanced_is_unity(self):
-        assert visibility_from_counts(0.0, 500.0, BeamSplitter(0.5, 0.5)) == pytest.approx(
-            1.0, rel=1e-15
-        )
-
-    def test_round_trip_through_dip_model(self):
-        for v in (0.0, 0.3, 0.8, 1.0):
-            params = DipModelParams(1234.5, v, 1.7, REFERENCE_SPLITTER)
-            n_dip = dip_model(0.0, params)
-            n_base = dip_model(1e6, params)
-            assert visibility_from_counts(n_dip, n_base, REFERENCE_SPLITTER) == pytest.approx(
-                v, abs=1e-12
-            )
-
-    def test_zero_baseline_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            visibility_from_counts(0.0, 0.0, REFERENCE_SPLITTER)
 
 
 def test_budget_from_config_averages_channels(default_cfg):

@@ -16,29 +16,30 @@ PUBLIC = {
     "__version__",
     "BeamSplitter", "CalibrationError", "CapacityError", "CarResult",
     "ConfigError", "DetectorParams", "DipModelParams", "ExperimentConfig",
-    "FitResult", "InsufficientStatisticsError", "LMResult",
-    "NoAccidentalsError", "OpticalChannel", "ScanPoint", "SourceParams",
-    "SweepRow", "TimingConfig", "VisibilityBudget", "WavepacketShape",
+    "FitResult", "InsufficientStatisticsError", "NoAccidentalsError",
+    "OpticalChannel", "ScanPoint", "SourceParams", "SweepRow", "TimingConfig",
+    "VisibilityBudget", "WavepacketShape",
     "amplitude_overlap", "budget_from_config", "calibrate_eta",
     "car_prediction", "click_pattern_probs", "coincidence_prob",
     "config_errors", "config_from_dict", "config_to_schema_dict",
-    "db_to_linear", "default_config", "default_eta", "dip_model",
-    "evolve_fock", "evolve_fock_ladder", "fit_dip", "fwhm_to_sigma",
+    "db_to_linear", "default_config", "default_eta", "evolve_fock",
+    "evolve_fock_ladder", "fit_dip", "fwhm_to_sigma",
     "gate_pattern_distribution", "indistinguishability", "invert_car",
-    "levenberg_marquardt", "load_config", "run_car", "run_dip_scan",
-    "run_visibility_sweep", "simulate_gate", "splitter_dip_factor",
-    "splitter_unitary", "validate", "visibility_prediction",
+    "load_config", "run_car", "run_dip_scan", "run_visibility_sweep",
+    "simulate_gate", "splitter_dip_factor", "splitter_unitary", "validate",
+    "visibility_prediction",
 }
 
 # Test oracles and internal helpers: importable only at their module path.
 MODULE_ONLY = {
-    "visibility_from_counts": "analytics",
     "car_peak_pair_rate": "analytics",
+    "dip_curve": "analytics",
     "linear_to_db": "model",
     "clicks_from_occupation": "fock",
     "permanent": "fock",
     "temporal_decompose": "fock",
-    "finite_difference_jacobian": "fitting",
+    "LMResult": "fitting",
+    "levenberg_marquardt": "fitting",
     "GateRecord": "simulate",
     "thread_cap": "simulate",
 }
@@ -146,6 +147,31 @@ def test_names_the_benchmark_reads_resolve(monkeypatch):
         "Keep them, or rename them in perfbench/ in a benchmark change "
         "(ROADMAP item 6), not in the same change as the program."
     )
+
+
+def test_fit_attributes_the_benchmark_reads():
+    # `probe.py reference` reads fit_dip(points, splitter).params.visibility
+    # off a noise-free scan; `probe.py trace` reads .iterations and
+    # .converged off every FitResult.
+    from dataclasses import replace
+
+    from hombench import default_config, fitting, simulate
+
+    cfg = default_config()
+    gates = 1e12
+    points = [
+        simulate.ScanPoint(
+            d, int(gates),
+            float(simulate.gate_pattern_distribution(replace(cfg, delay_ps=d))[3])
+            * gates, 0, 0,
+        )
+        for d in (-6.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 6.0)
+    ]
+    fit = fitting.fit_dip(points, cfg.splitter)
+    assert isinstance(fit.params.visibility, float)
+    assert 0.0 < fit.params.visibility <= 1.02
+    assert isinstance(fit.iterations, int) and fit.iterations >= 1
+    assert fit.converged is True
 
 
 def test_layers_probe_can_clear_the_pmf_cache():

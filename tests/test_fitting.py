@@ -6,19 +6,18 @@ import numpy as np
 import pytest
 from scipy.optimize import curve_fit
 
+from conftest import finite_difference_jacobian
 from hombench import (
     BeamSplitter,
     DipModelParams,
     ScanPoint,
-    dip_model,
     fit_dip,
-    levenberg_marquardt,
     load_config,
     run_dip_scan,
     splitter_dip_factor,
 )
 from hombench.analytics import dip_curve as _dip_curve
-from hombench.fitting import _dip_jacobian_external, finite_difference_jacobian
+from hombench.fitting import _dip_jacobian_external, levenberg_marquardt
 
 REFERENCE_SPLITTER = BeamSplitter.from_db(-3.3, -3.6)
 DELAYS_21 = np.linspace(-6.0, 6.0, 21)
@@ -43,8 +42,19 @@ def dip_counts(
     center: float = 0.0,
     splitter: BeamSplitter = REFERENCE_SPLITTER,
 ) -> np.ndarray:
-    params = DipModelParams(baseline, visibility, sigma, splitter)
-    return np.array([dip_model(float(d) - center, params) for d in delays])
+    return _dip_curve(
+        delays, baseline, visibility, sigma, splitter_dip_factor(splitter), center
+    )
+
+
+def fd_levenberg_marquardt(model, x, y, weights, theta0, **kwargs):
+    """`levenberg_marquardt` on a toy model: finite-difference Jacobian, no box."""
+    return levenberg_marquardt(
+        model, x, y, weights, theta0,
+        lambda x, theta: finite_difference_jacobian(model, x, theta),
+        lambda theta: theta,
+        **kwargs,
+    )
 
 
 class TestLevenbergMarquardt:
@@ -55,7 +65,7 @@ class TestLevenbergMarquardt:
         def model(x, theta):
             return theta[0] * x
 
-        result = levenberg_marquardt(model, x, y, np.ones_like(x), np.array([0.3]))
+        result = fd_levenberg_marquardt(model, x, y, np.ones_like(x), np.array([0.3]))
         assert result.converged
         # The optimum is reached on the first accepted step; the few extra
         # iterations are the stopping rules confirming it.
@@ -70,7 +80,7 @@ class TestLevenbergMarquardt:
         def model(x, theta):
             return theta[0] * x + theta[1]
 
-        result = levenberg_marquardt(model, x, y, w, np.array([0.0, 0.0]))
+        result = fd_levenberg_marquardt(model, x, y, w, np.array([0.0, 0.0]))
         assert result.converged
         np.testing.assert_allclose(result.theta, [2.0, 1.0], atol=1e-9)
         design = np.column_stack([x, np.ones_like(x)])
@@ -86,7 +96,7 @@ class TestLevenbergMarquardt:
         def model(_, theta):
             return np.array([10.0 * (theta[1] - theta[0] ** 2), theta[0]])
 
-        result = levenberg_marquardt(
+        result = fd_levenberg_marquardt(
             model, x, y, np.ones(2), np.array([-1.2, 1.0]),
             max_iterations=500,
         )
@@ -98,7 +108,7 @@ class TestLevenbergMarquardt:
             return np.full_like(x, math.nan)
 
         with pytest.raises(ValueError):
-            levenberg_marquardt(
+            fd_levenberg_marquardt(
                 model, np.ones(3), np.ones(3), np.ones(3), np.array([1.0])
             )
 
@@ -110,7 +120,7 @@ class TestLevenbergMarquardt:
         w = np.ones(3)
         w[1] = bad
         with pytest.raises(ValueError):
-            levenberg_marquardt(model, np.ones(3), np.ones(3), w, np.array([1.0]))
+            fd_levenberg_marquardt(model, np.ones(3), np.ones(3), w, np.array([1.0]))
 
     def test_degenerate_parameterization_is_flagged(self):
         # theta[0] and theta[1] only enter through their sum: the normal
@@ -121,9 +131,45 @@ class TestLevenbergMarquardt:
         def model(x, theta):
             return (theta[0] + theta[1]) * x
 
-        result = levenberg_marquardt(model, x, y, np.ones_like(x), np.array([1.0, 1.0]))
+        result = fd_levenberg_marquardt(
+            model, x, y, np.ones_like(x), np.array([1.0, 1.0])
+        )
         assert result.degenerate
         assert np.isfinite(result.covariance).all()
+
+    def test_box_clamps_the_start_and_every_trial_step(self):
+        # The data pull theta toward 2 but the box caps it at 1: the start
+        # (1.5) is projected in, no evaluation ever leaves the box, and the
+        # fit settles on the boundary.
+        x = np.arange(1.0, 9.0)
+        y = 2.0 * x
+        seen = []
+
+        def model(x, theta):
+            seen.append(float(theta[0]))
+            return theta[0] * x
+
+        result = levenberg_marquardt(
+            model, x, y, np.ones_like(x), np.array([1.5]),
+            lambda x, theta: x[:, None],
+            lambda theta: np.minimum(theta, 1.0),
+        )
+        assert seen[0] == 1.0
+        assert max(seen) <= 1.0
+        assert result.theta[0] == 1.0
+
+    def test_jacobian_and_box_have_no_defaults(self):
+        def model(x, theta):
+            return theta[0] * x
+
+        x = np.arange(4.0)
+        with pytest.raises(TypeError):
+            levenberg_marquardt(model, x, 2.0 * x, np.ones_like(x), [1.0])
+        with pytest.raises(TypeError):
+            levenberg_marquardt(
+                model, x, 2.0 * x, np.ones_like(x), [1.0],
+                lambda x, theta: x[:, None],
+            )
 
     def test_finite_difference_jacobian_accuracy(self):
         def model(x, theta):
@@ -185,7 +231,7 @@ class TestFitDip:
         rng = np.random.default_rng(31415)
         counts = rng.poisson(dip_counts(12000.0, 0.8, 1.7)).astype(float)
         factor = splitter_dip_factor(REFERENCE_SPLITTER)
-        init = DipModelParams(12000.0, 0.8, 1.7, REFERENCE_SPLITTER)
+        init = DipModelParams(12000.0, 0.8, 1.7)
         fit = fit_dip(make_points(counts), REFERENCE_SPLITTER, init=init)
 
         def model(d, c, v, s):
@@ -242,7 +288,7 @@ class TestFitDip:
 
     def test_explicit_init_is_honored(self):
         counts = dip_counts(1000.0, 0.8, 1.7)
-        init = DipModelParams(900.0, 0.5, 2.0, REFERENCE_SPLITTER)
+        init = DipModelParams(900.0, 0.5, 2.0)
         fit = fit_dip(make_points(counts), REFERENCE_SPLITTER, init=init)
         assert fit.converged
         assert fit.params.visibility == pytest.approx(0.8, rel=1e-6)

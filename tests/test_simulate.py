@@ -885,7 +885,7 @@ class TestRunVisibilitySweep:
         (row,) = run_visibility_sweep(cfg, [0.03], 10**8, seed=6)
         assert row.fit is not None
         bound = max(0.02, 3.0 * row.fit.visibility_error)
-        assert abs(row.fit.visibility - row.predicted_visibility) < bound
+        assert abs(row.fit.params.visibility - row.predicted_visibility) < bound
 
     def test_empty_pair_list_rejected(self, symmetric_cfg):
         with pytest.raises(ValueError):
