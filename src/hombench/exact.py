@@ -9,10 +9,12 @@ distributions, so a Poisson pair number mixes in exactly through its
 generating function, and dark counts OR onto each threshold detector.
 Because the per-pair distributions are oracle outputs, the comparison
 against the closed-form visibility budget is a real cross-check rather
-than a restatement. A single-mode source, whose pairs of one pulse share
-one mode per arm, has a deeper dip 1 - P11(kappa=1) / P11(kappa=0) (Ou,
-Rhee & Wang, PRA 60, 593 (1999)): at eta = 0.05 with darks and crosstalk
-off, deeper by 0.0270 at p = 0.03 and by 0.0800 at p = 0.1.
+than a restatement. Pairs of one pulse that share one mode per arm give
+a deeper dip 1 - P11(kappa=1) / P11(kappa=0) (Ou, Rhee & Wang, PRA 60,
+593 (1999)): at eta = 0.05 with darks and crosstalk off, deeper by 0.0270
+at p = 0.03 and 0.0800 at p = 0.1 with Poisson pair numbers. A
+single-mode source has thermal pair numbers, and its dip is deeper by
+only 0.0029 and 0.0227.
 
 The overlap kappa enters as a mixture, not a superposition. A pair with
 one photon per arm is, with probability kappa^2, an indistinguishable

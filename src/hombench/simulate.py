@@ -10,14 +10,17 @@ Determinism contract: every public run takes a seed, derives one child
 generator per (point, batch) through named SeedSequence spawn keys, and
 merges batch counts by commutative addition (a dip batch is 2^20 gates,
 a CAR block 2^13 short gaps between clicks; a dip scan hashes all its
-keys in one numpy pass, to the same generators). Results are bit-for-bit
-stable under any worker count; HOMBENCH_THREADS changes speed only.
+keys in one numpy pass, to the same generators; a per-gate scan deals
+its batches round-robin to workers, each adding into its own counts,
+summed once all have joined). Results are bit-for-bit stable under any
+worker count; HOMBENCH_THREADS changes speed only.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -104,10 +107,12 @@ class SweepRow:
 
 
 def thread_cap() -> int:
-    """Worker count for batched runs; HOMBENCH_THREADS overrides."""
+    """Worker count for batched runs: the CPUs this process may run on,
+    at most 32; HOMBENCH_THREADS overrides."""
     raw = os.environ.get("HOMBENCH_THREADS")
     if raw is None:
-        return min(32, os.cpu_count() or 1)
+        has_affinity = hasattr(os, "sched_getaffinity")  # not on macOS or Windows
+        return min(32, len(os.sched_getaffinity(0)) if has_affinity else os.cpu_count() or 1)
     try:
         cap = int(raw)
     except ValueError:
@@ -310,7 +315,9 @@ def run_dip_scan(
     delays are checked and the pmfs of all points built once per scan, in
     one pass over the overlaps. Deterministic for a given (config, seed,
     sampler) at any thread count: each (point, batch) has its own
-    generator from a fixed spawn key, and batch counts add.
+    generator from a fixed spawn key, and batch counts add. Worker w of n
+    runs batches w, w + n, ...; the first error of any worker is raised
+    after all have joined.
     """
     validate(config)
     if gates_per_point < 1:
@@ -330,7 +337,6 @@ def run_dip_scan(
         counts[:] = [rng.multinomial(gates_per_point, pmf) for pmf, rng in
                      zip(_gate_pmfs(config, kappas), _generators(base, range(len(delays))))]
     else:
-        from concurrent.futures import ThreadPoolExecutor  # only this branch uses it
         pair_count_pmf = _poisson_pmf(config.source.mean_pairs_per_pulse)
         darks = (config.detector_a.dark_prob_per_gate,
                  config.detector_b.dark_prob_per_gate)
@@ -338,14 +344,30 @@ def run_dip_scan(
         keys = [(i, batch) for i in range(len(delays))
                 for batch in range(-(-gates_per_point // _DIP_BATCH))]
 
-        def run_task(key, rng):
-            i, batch = key
-            size = min(_DIP_BATCH, gates_per_point - batch * _DIP_BATCH)
-            return i, _simulate_batch(rng, size, pair_count_pmf, cums[i], *darks)
+        rngs = _generators(base, keys)
+        n_workers = min(thread_cap(), len(keys))
+        partial = np.zeros((n_workers, len(delays), 4), dtype=np.int64)
+        errors: list[BaseException] = []
 
-        with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
-            for i, batch_counts in pool.map(run_task, keys, _generators(base, keys)):
-                counts[i] += batch_counts
+        def work(w: int) -> None:
+            try:
+                for (i, batch), rng in zip(keys[w::n_workers], rngs[w::n_workers]):
+                    size = min(_DIP_BATCH, gates_per_point - batch * _DIP_BATCH)
+                    partial[w, i] += _simulate_batch(
+                        rng, size, pair_count_pmf, cums[i], *darks)
+            except BaseException as exc:
+                errors.append(exc)
+
+        # The calling thread is worker 0, so one worker starts no thread.
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(1, n_workers)]
+        for t in threads:
+            t.start()
+        work(0)
+        for t in threads:
+            t.join()
+        if errors:
+            raise errors[0]
+        counts[:] = partial.sum(axis=0)
 
     return [
         ScanPoint(float(delay), gates_per_point, coincidences=int(c[_P11]),

@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -188,7 +189,8 @@ def test_layers_probe_can_clear_the_pmf_cache():
 
 def test_import_and_config_load_leave_sampler_modules_unloaded(tmp_path):
     # A fresh interpreter that imports hombench and loads a config (what the
-    # benchmark times as set-up) loads neither: the samplers import them.
+    # benchmark times as set-up) loads neither: numpy.random waits for a
+    # sampler, and nothing imports concurrent.futures.
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"pairs_per_pulse": 0.05}))
     code = (
@@ -199,4 +201,19 @@ def test_import_and_config_load_leave_sampler_modules_unloaded(tmp_path):
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_per_gate_scan_imports_neither_thread_pool_nor_logging():
+    # The per-gate sampler runs its batches on plain threads: the pool of
+    # concurrent.futures would import logging too, in every scan.
+    code = (
+        "import sys\n"
+        "from hombench import run_dip_scan\n"
+        "from hombench.configio import default_config\n"
+        "run_dip_scan(default_config(), [0.0, 3.0], 2**20 + 1, 1, sampler='per-gate')\n"
+        "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "HOMBENCH_THREADS": "2"})
     assert out.stdout.strip() == "[]"

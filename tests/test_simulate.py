@@ -2,6 +2,8 @@
 
 import math
 import re
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -141,28 +143,21 @@ class TestGatePatternDistribution:
         # The gate model treats the pairs of one pulse as distinguishable. If
         # every photon of an arm shared one mode, the dip would be deeper:
         # n pairs thinned to k_s, k_i photons by eta and interfered together
-        # by the oracle, darks and crosstalk off.
-        eta = 0.05
-        cfg = symmetric_cfg(p, eta, 0.0, extinction=1e300)
-        t, r = cfg.splitter.transmittance, cfg.splitter.reflectance
+        # by the oracle, darks and crosstalk off. Pair numbers here keep the
+        # gate model's Poisson weights, so the gap is the mode sharing alone;
+        # a single-mode source also changes them (thermal pin below).
+        cfg = symmetric_cfg(p, 0.05, 0.0, extinction=1e300)
+        poisson = [math.exp(-p) * p**n / math.factorial(n) for n in range(9)]
+        assert _identical_pair_dip(cfg, poisson) - _gate_dip(cfg) == pytest.approx(gap, abs=1e-6)
 
-        def identical_p11(kappa):
-            total = 0.0
-            for n in range(1, 9):
-                for k_s in range(n + 1):
-                    for k_i in range(max(2 - k_s, 0), min(n, 4 - k_s) + 1):
-                        thinned = (math.comb(n, k_s) * math.comb(n, k_i) * eta ** (k_s + k_i)
-                                   * (1.0 - eta) ** (2 * n - k_s - k_i))
-                        total += (math.exp(-p) * p**n / math.factorial(n) * thinned
-                                  * fock.coincidence_prob(k_s, k_i, kappa, t, r))
-            return total
-
-        def gate_p11(kappa):
-            return gate_pattern_distribution(cfg, kappa=kappa)[3]
-
-        identical = 1.0 - identical_p11(1.0) / identical_p11(0.0)
-        multimode = 1.0 - gate_p11(1.0) / gate_p11(0.0)
-        assert identical - multimode == pytest.approx(gap, abs=1e-6)
+    @pytest.mark.parametrize("p, gap", [(0.03, 0.0028969), (0.1, 0.0226847)])
+    def test_single_mode_source_against_multimode_limit(self, symmetric_cfg, p, gap):
+        # A single-mode source puts all pairs of a pulse in one mode per arm
+        # and draws their number from a thermal law, p^n / (1 + p)^(n + 1):
+        # its extra bunching offsets most of the deeper dip of shared modes.
+        cfg = symmetric_cfg(p, 0.05, 0.0, extinction=1e300)
+        thermal = [p**n / (1.0 + p) ** (n + 1) for n in range(9)]
+        assert _identical_pair_dip(cfg, thermal) - _gate_dip(cfg) == pytest.approx(gap, abs=1e-6)
 
     def test_invalid_config_rejected(self, default_cfg):
         bad = replace(default_cfg, delay_ps=math.nan)
@@ -176,6 +171,35 @@ class TestGatePatternDistribution:
         # the oracle: the check must not depend on the routing.
         with pytest.raises(ValueError, match=re.escape(repr(kappa))):
             gate_pattern_distribution(symmetric_cfg(0.03, eta, 1e-4), kappa=kappa)
+
+
+def _identical_pair_dip(cfg, weights) -> float:
+    """1 - P11(1) / P11(0) when the n pairs of a pulse, drawn with
+    probability weights[n], share one mode per arm and interfere together.
+
+    Both arms' n photons are thinned by one transmittance eta; survivors
+    past the oracle's four photons are left out, and so are n > 8.
+    """
+    eta = cfg.channel_s.transmittance
+    t, r = cfg.splitter.transmittance, cfg.splitter.reflectance
+
+    def p11(kappa):
+        total = 0.0
+        for n in range(1, len(weights)):
+            for k_s in range(n + 1):
+                for k_i in range(max(2 - k_s, 0), min(n, 4 - k_s) + 1):
+                    thinned = (math.comb(n, k_s) * math.comb(n, k_i) * eta ** (k_s + k_i)
+                               * (1.0 - eta) ** (2 * n - k_s - k_i))
+                    total += weights[n] * thinned * fock.coincidence_prob(k_s, k_i, kappa, t, r)
+        return total
+
+    return 1.0 - p11(1.0) / p11(0.0)
+
+
+def _gate_dip(cfg) -> float:
+    """1 - P11(1) / P11(0) of the gate model: pairs mutually distinguishable."""
+    return 1.0 - (gate_pattern_distribution(cfg, kappa=1.0)[3]
+                  / gate_pattern_distribution(cfg, kappa=0.0)[3])
 
 
 def _clear_pmf_caches() -> None:
@@ -507,6 +531,42 @@ class TestRunDipScan:
         monkeypatch.setenv("HOMBENCH_THREADS", "8")
         wide = run_dip_scan(cfg, [0.0, 5.0], 300_000, seed=8, sampler="per-gate")
         assert narrow == wide
+
+    def test_worker_count_does_not_change_shared_batches(self, symmetric_cfg, monkeypatch):
+        # Three batches per point, the last of one gate: at 2 and 4 workers
+        # some worker runs batches of both points; 8 is capped at the 6
+        # batches. A short switch interval interleaves the workers finely.
+        cfg = symmetric_cfg(0.05, 0.2, 1e-4)
+        runs = []
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for workers in ("1", "2", "4", "8"):
+                monkeypatch.setenv("HOMBENCH_THREADS", workers)
+                runs.append(run_dip_scan(cfg, [0.0, 5.0], 2 * 2**20 + 1, seed=8,
+                                         sampler="per-gate"))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(run == runs[0] for run in runs[1:])
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_worker_error_reaches_caller(self, symmetric_cfg, monkeypatch, workers):
+        # The one-gate second batch fails; at 2 workers it runs on worker 1,
+        # a thread of its own, which must be joined before the error is raised.
+        batch = simulate._simulate_batch
+
+        def failing(rng, n_gates, *args):
+            if n_gates == 1:
+                raise ArithmeticError("batch failed")
+            return batch(rng, n_gates, *args)
+
+        monkeypatch.setattr(simulate, "_simulate_batch", failing)
+        monkeypatch.setenv("HOMBENCH_THREADS", workers)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match="batch failed"):
+            run_dip_scan(symmetric_cfg(0.05, 0.2, 1e-4), [0.0], 2**20 + 1, seed=8,
+                         sampler="per-gate")
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("sampler", ["multinomial", "per-gate"])
     def test_counts_track_exact_pmf(self, symmetric_cfg, sampler):
@@ -907,6 +967,14 @@ class TestThreadCap:
     def test_default_is_positive(self, monkeypatch):
         monkeypatch.delenv("HOMBENCH_THREADS", raising=False)
         assert thread_cap() >= 1
+
+    def test_default_follows_cpu_affinity(self, monkeypatch):
+        # A process pinned to one CPU starts no second worker, however many
+        # CPUs the host has.
+        monkeypatch.delenv("HOMBENCH_THREADS", raising=False)
+        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 64)
+        assert thread_cap() == 1
 
     @pytest.mark.parametrize("bad", ["0", "-2", "many"])
     def test_invalid_values_raise(self, monkeypatch, bad):
