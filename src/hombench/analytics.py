@@ -3,10 +3,11 @@
 Everything here is a pure function without random draws: the Gaussian
 indistinguishability factor, the coincidence-dip lineshape (vectorised
 over delays, as the fitter evaluates it), the visibility noise budget,
-and an analytic coincidence-to-accidental ratio (CAR) model with its
-inverse, plus the reductions of an `ExperimentConfig` to their inputs.
-The Monte Carlo engine in `simulate` must agree with these formulas; the
-agreement tests are the core physics check of the package.
+and the exact coincidence-to-accidental ratio (CAR), whose per-slot pmf
+the CAR sampler draws, with its inverse, plus the reductions of an
+`ExperimentConfig` to their inputs. The Monte Carlo engine in `simulate`
+must agree with these formulas; the agreement tests are the core physics
+check of the package.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ import numpy as np
 
 from .model import BeamSplitter, ExperimentConfig
 
-# Upper pair rate of `invert_car`'s search, and the relative bracket width
-# at which `calibrate_eta`'s bisection stops.
-_CAR_P_MAX = 0.5
-_ETA_RTOL = 1e-12
+# Relative bracket width at which the searches for a parameter stop.
+_RTOL = 1e-12
+# Mean photons per slot, p min(eta), past which the CAR is 1 to double
+# precision: it exceeds 1 by less than exp(-3/4 p max(eta)) / (q_A q_B).
+_CAR_SATURATED = 100.0
 
 
 class NoAccidentalsError(ValueError):
@@ -141,6 +143,11 @@ def visibility_prediction(budget: VisibilityBudget) -> float:
     second pair in the same pulse, two dark counts or a dark count paired
     with a photon, and a photon leaking through the demultiplexer into the
     wrong arm.
+
+    The budget has no term that scales like two dark counts in one gate,
+    d_a d_b. At the reference instrument that term is 0.149 of the
+    one-pair coincidence rate, and it accounts for most of the gap between
+    this budget (0.800) and the exact gate model (0.700).
     """
     p = budget.pairs_per_pulse
     eta = budget.efficiency
@@ -155,23 +162,42 @@ def visibility_prediction(budget: VisibilityBudget) -> float:
     return 1.0 - (2.0 * p * eta + 4.0 * dt + leak) / denom
 
 
+def car_slot_pmf(
+    p: float, eta_s: float, eta_i: float, dark_a: float, dark_b: float, leak: float
+) -> np.ndarray:
+    """Per-slot click-pattern pmf (no click, B only, A only, both) of a CAR run.
+
+    A CAR run taps the channels straight into the detectors, A on arm s and
+    B on arm i, after crosstalk swaps each photon's arm with probability
+    `leak`. One pair leaves A silent with x_A = (1 - (1 - leak) eta_s)
+    (1 - leak eta_s), B with x_B (the same with eta_i), and both with
+    x_0 = (1 - (1 - leak) eta_s - leak eta_i)(1 - leak eta_s - (1 - leak) eta_i).
+    Poisson pair numbers mix each in as exp(-p (1 - x)) and darks veto
+    independently, as in `exact._compose_gate_pmf`. Written with what a pair
+    clicks, g_A = 1 - x_A, g_B and w = 1 - x_A - x_B + x_0, the sum
+    P11 = q_A q_B + P00 (1 - exp(-p w)) keeps the digits that
+    1 - P00 - P01 - P10 loses at low rates.
+    """
+    g_a = eta_s * (1.0 - leak * (1.0 - leak) * eta_s)
+    g_b = eta_i * (1.0 - leak * (1.0 - leak) * eta_i)
+    w = ((1.0 - leak) ** 2 + leak * leak) * eta_s * eta_i
+    log_silent_a = math.log1p(-dark_a) - p * g_a
+    log_silent_b = math.log1p(-dark_b) - p * g_b
+    p00 = math.exp(log_silent_a + log_silent_b + p * w)
+    q_a, q_b = -math.expm1(log_silent_a), -math.expm1(log_silent_b)
+    p11 = q_a * q_b - p00 * math.expm1(-p * w)
+    # P01 and P10 are differences, which can round below a true 0.
+    return np.array([p00, max(q_b - p11, 0.0), max(q_a - p11, 0.0), p11])
+
+
 def car_prediction(
-    p: float,
-    eta_s: float,
-    eta_i: float,
-    dark_a: float,
-    dark_b: float,
+    p: float, eta_s: float, eta_i: float, dark_a: float, dark_b: float, leak: float = 0.0
 ) -> float:
-    """Analytic coincidence-to-accidental ratio for direct pair monitoring.
+    """Exact per-slot coincidence-to-accidental ratio P11 / (q_A q_B).
 
-    Singles probabilities per counting window:
-
-        q_x = 1 - exp(-p eta_x) + dark_x
-
-    Accidental coincidences are uncorrelated singles, q_s * q_i; true
-    coincidences keep only the leading single-pair term p eta_s eta_i.
-    CAR = (true + accidental) / accidental, which is >= 1 and tends to 1
-    when the source is off.
+    From `car_slot_pmf`, with singles q_A = P10 + P11 and q_B = P01 + P11:
+    1 with the source off, largest at `car_peak_pair_rate`, and falling
+    towards 1 beyond it. `leak` is the crosstalk probability 1 / extinction.
 
     The dark probabilities must describe the same counting window the
     coincidences are resolved in (for gated counting with a fast time
@@ -179,78 +205,77 @@ def car_prediction(
     """
     if p < 0.0 or not (0.0 <= eta_s <= 1.0 and 0.0 <= eta_i <= 1.0):
         raise ValueError("p must be >= 0 and efficiencies in [0, 1]")
-    if not (0.0 <= dark_a < 1.0 and 0.0 <= dark_b < 1.0):
-        raise ValueError("dark probabilities must be in [0, 1)")
-    q_s = -math.expm1(-p * eta_s) + dark_a
-    q_i = -math.expm1(-p * eta_i) + dark_b
-    accidental = q_s * q_i
+    if not (0.0 <= dark_a < 1.0 and 0.0 <= dark_b < 1.0 and 0.0 <= leak <= 1.0):
+        raise ValueError("dark probabilities must be in [0, 1) and leak in [0, 1]")
+    _, p01, p10, p11 = car_slot_pmf(p, eta_s, eta_i, dark_a, dark_b, leak)
+    accidental = (p10 + p11) * (p01 + p11)
     if accidental == 0.0:
         raise NoAccidentalsError(
             "no accidental channel: both singles probabilities are zero"
         )
-    true = p * eta_s * eta_i
-    return (true + accidental) / accidental
+    return float(p11 / accidental)
 
 
-def car_peak_pair_rate(eta_s: float, eta_i: float, dark_a: float, dark_b: float) -> float:
-    """Pair rate at which the analytic CAR is maximal.
+def car_peak_pair_rate(
+    eta_s: float, eta_i: float, dark_a: float, dark_b: float, leak: float
+) -> float:
+    """Pair rate of the exact CAR's maximum, by golden section on log p.
 
-    In the linear regime (p eta << 1) the CAR rises like p / (dark_a dark_b)
-    and falls like 1/p once photon singles dominate darks; the crossover is
-    at p* = sqrt(dark_a dark_b / (eta_s eta_i)).
+    It searches p from 1e-12 / max(eta) to `_CAR_SATURATED` / min(eta). At
+    low rates the peak is near sqrt(dark_a dark_b / (eta_s eta_i)); with a
+    dark-free detector the CAR falls from p -> 0+, and the search returns
+    its low end.
     """
     if eta_s <= 0.0 or eta_i <= 0.0:
-        raise ValueError("efficiencies must be > 0 to locate the CAR peak")
-    return math.sqrt(dark_a * dark_b / (eta_s * eta_i))
+        raise CalibrationError("efficiencies must be > 0 to locate the CAR peak")
+
+    def car_at(log_p: float) -> float:
+        return car_prediction(math.exp(log_p), eta_s, eta_i, dark_a, dark_b, leak)
+
+    lo = math.log(1e-12 / max(eta_s, eta_i))
+    hi = math.log(_CAR_SATURATED / min(eta_s, eta_i))
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - golden * (hi - lo), lo + golden * (hi - lo)
+    car_c, car_d = car_at(c), car_at(d)
+    # Within a relative width of sqrt(_RTOL) the top is flat to about _RTOL.
+    while hi - lo > math.sqrt(_RTOL):
+        if car_c >= car_d:
+            hi, d, car_d = d, c, car_c
+            c = hi - golden * (hi - lo)
+            car_c = car_at(c)
+        else:
+            lo, c, car_c = c, d, car_d
+            d = lo + golden * (hi - lo)
+            car_d = car_at(d)
+    return math.exp(0.5 * (lo + hi))
 
 
 def invert_car(
-    car: float,
-    eta_s: float,
-    eta_i: float,
-    dark_a: float,
-    dark_b: float,
+    car: float, eta_s: float, eta_i: float, dark_a: float, dark_b: float, leak: float
 ) -> float:
-    """Solve car_prediction for the pair rate on the falling branch.
+    """Pair rate whose exact CAR is `car`, on the branch past the peak.
 
-    The analytic CAR is not monotone in p: it peaks near
-    p* = sqrt(dark_a dark_b / (eta_s eta_i)) and decreases beyond it. This
-    inversion returns the solution with p >= p*, the branch a bright pair
-    source operates on. Raises CalibrationError when the requested CAR
-    exceeds the achievable maximum or falls below its value at the search
-    bound p = 0.5.
-
-    With a dark-free detector p* = 0 and the CAR falls from its p -> 0+
-    limit: 1 + eta / dark of the other detector, or +inf when both are
-    dark-free.
+    Bisects log p from `car_peak_pair_rate`, where the falling branch a
+    bright source operates on starts, to `_CAR_SATURATED` / min(eta).
+    Raises CalibrationError when `car` is at most 1 or above the maximum.
     """
-    if car < 1.0:
-        raise ValueError(f"CAR must be >= 1 (got {car!r})")
-    p_lo = car_peak_pair_rate(eta_s, eta_i, dark_a, dark_b)
-    if p_lo > 0.0:
-        car_lo = car_prediction(p_lo, eta_s, eta_i, dark_a, dark_b)
-    elif dark_a or dark_b:
-        car_lo = 1.0 + (eta_i / dark_b if dark_b else eta_s / dark_a)
-    else:
-        car_lo = math.inf
-    if car > car_lo:
+    if not car > 1.0:
+        raise CalibrationError(f"CAR {car:g} is not above 1: no pair rate gives it")
+    terms = (eta_s, eta_i, dark_a, dark_b, leak)
+    p_peak = car_peak_pair_rate(*terms)
+    car_max = car_prediction(p_peak, *terms)
+    if car > car_max:
         raise CalibrationError(
-            f"CAR {car:g} exceeds the model maximum {car_lo:g} at p = {p_lo:g}"
+            f"CAR {car:g} exceeds the model maximum {car_max:g} at p = {p_peak:g}"
         )
-    car_hi = car_prediction(_CAR_P_MAX, eta_s, eta_i, dark_a, dark_b)
-    if car < car_hi:
-        raise CalibrationError(
-            f"CAR {car:g} is below the value {car_hi:g} at the p = {_CAR_P_MAX:g} "
-            f"search bound"
-        )
-    p_hi = _CAR_P_MAX
-    for _ in range(200):
-        mid = 0.5 * (p_lo + p_hi)
-        if car_prediction(mid, eta_s, eta_i, dark_a, dark_b) >= car:
-            p_lo = mid
+    lo, hi = math.log(p_peak), math.log(_CAR_SATURATED / min(eta_s, eta_i))
+    while hi - lo > _RTOL:
+        mid = 0.5 * (lo + hi)
+        if car_prediction(math.exp(mid), *terms) >= car:
+            lo = mid
         else:
-            p_hi = mid
-    return 0.5 * (p_lo + p_hi)
+            hi = mid
+    return math.exp(0.5 * (lo + hi))
 
 
 def calibrate_eta(
@@ -294,7 +319,7 @@ def calibrate_eta(
             lo = mid
         else:
             hi = mid
-        if hi - lo < _ETA_RTOL * max(hi, 1e-6):
+        if hi - lo < _RTOL * max(hi, 1e-6):
             break
     eta = 0.5 * (lo + hi)
     if abs(v_at(eta) - target_v) > 1e-9:
@@ -323,11 +348,12 @@ def budget_from_config(config: ExperimentConfig) -> VisibilityBudget:
     )
 
 
-def car_terms(config: ExperimentConfig) -> tuple[float, float, float, float, float]:
-    """Per-slot CAR inputs (p, eta_s, eta_i, dark_a, dark_b) of a config.
+def car_terms(config: ExperimentConfig) -> tuple[float, ...]:
+    """Per-slot CAR inputs (p, eta_s, eta_i, dark_a, dark_b, leak) of a config.
 
     In `car_prediction`'s argument order. The dark probabilities are per
-    pulse slot: the per-gate values divided by the gate divider.
+    pulse slot: the per-gate values divided by the gate divider; the leak
+    is 1 / extinction ratio.
     """
     divider = config.timing.gate_divider
     return (
@@ -336,4 +362,5 @@ def car_terms(config: ExperimentConfig) -> tuple[float, float, float, float, flo
         config.channel_i.transmittance,
         config.detector_a.dark_prob_per_gate / divider,
         config.detector_b.dark_prob_per_gate / divider,
+        1.0 / config.source.extinction_ratio,
     )

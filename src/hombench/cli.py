@@ -388,8 +388,9 @@ def cmd_car(args: argparse.Namespace, config: ExperimentConfig) -> _Outcome:
 
     print(f"CAR = {result.car:.3f}  (analytic {analytic['car']:.3f})"
           if analytic["car"] is not None else f"CAR = {result.car:.3f}")
-    print(f"p_estimate = {result.p_estimate:.6g} "
-          f"(configured {config.source.mean_pairs_per_pulse:.6g})")
+    print(f"p_estimate: none ({result.p_estimate_note})" if result.p_estimate is None
+          else f"p_estimate = {result.p_estimate:.6g} "
+               f"(configured {config.source.mean_pairs_per_pulse:.6g})")
     print(f"matched coincidences: {result.matched_coincidences}")
     print(f"accidentals over offsets 1..{args.offsets}: "
           f"{sum(result.unmatched_coincidences)}")

@@ -35,17 +35,12 @@ from typing import Iterator
 import numpy as np
 
 from . import fock
-from .analytics import amplitude_overlap, car_terms
+from .analytics import amplitude_overlap
 from .model import ExperimentConfig, validate
 
 # Pattern vector order everywhere in the package: (no click, B only,
 # A only, both). Index arithmetic relies on it.
 _P00, _P01, _P10, _P11 = 0, 1, 2, 3
-
-# Click pattern of each pair arrangement without the coupler (CAR runs):
-# A reads arm s, B reads arm i, threshold detectors.
-_CAR_PATTERN = {"none": _P00, "single_i": _P01, "same_i": _P01,
-                "single_s": _P10, "same_s": _P10, "cross": _P11}
 
 # Fock input of each oracle evaluation (mode order as in `fock`): every
 # arrangement but "cross", plus the two parts of "cross", "twin" (idler in
@@ -203,27 +198,3 @@ def gate_pattern_distribution(
         raise ValueError(f"kappa must be in [0, 1] (got {kappa!r})")
     return _gate_pmfs(config, [kappa])[0]
 
-
-def _car_pattern_distribution(config: ExperimentConfig) -> np.ndarray:
-    """Per-slot click-pattern pmf for direct pair monitoring.
-
-    The coincidence-to-accidental measurement taps the two channels
-    straight into the detectors (no interference coupler in the path) and
-    resolves clicks in single pulse slots with a time tagger. Two
-    consequences for the model:
-
-    * detector A sees the signal channel and detector B the idler channel,
-      with only the channel efficiencies applied (crosstalk still swaps
-      photons between the channels), so each arrangement of
-      `_pair_arrangements` fixes the click pattern;
-    * the dark probability for one slot is the configured per-gate value
-      divided by the gate divider: the same dark rate, resolved in a
-      pulse-period window instead of a whole gate.
-    """
-    p, eta_s, eta_i, dark_a, dark_b = car_terms(config)
-    pi = np.zeros((1, 4))
-    for weight, kind in _pair_arrangements(
-        1.0 / config.source.extinction_ratio, eta_s, eta_i
-    ):
-        pi[0, _CAR_PATTERN[kind]] += weight
-    return _compose_gate_pmf(pi, p, dark_a, dark_b)[0]

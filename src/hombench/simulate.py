@@ -29,7 +29,8 @@ from .analytics import (
     CalibrationError,
     amplitude_overlap,
     budget_from_config,
-    car_peak_pair_rate,
+    car_peak_pair_rate,  # not called here; perfbench/probe.py wraps it here
+    car_slot_pmf,
     car_terms,
     indistinguishability,
     invert_car,
@@ -40,7 +41,6 @@ from .exact import (
     _P01,
     _P10,
     _P11,
-    _car_pattern_distribution,
     _gate_pmfs,
     _pair_click_dist,
     _pair_pattern_probs,
@@ -89,10 +89,11 @@ class CarResult:
     matched_coincidences: int
     unmatched_coincidences: tuple[int, ...]
     car: float
-    p_estimate: float
+    p_estimate: float | None
     gates: int
     singles_a: int
     singles_b: int
+    p_estimate_note: str | None = None  # why p_estimate is None
 
 
 @dataclass(frozen=True)
@@ -479,8 +480,9 @@ def run_car(
     in, so memory is O(block) however many gates run; dense blocks count
     each offset with one AND of click indicators (`_offset_walk`).
 
-    See `_car_pattern_distribution` for the detection geometry and the
-    per-slot dark-count convention.
+    See `analytics.car_slot_pmf` for the detection geometry and `car_terms`
+    for the per-slot darks. `p_estimate` is `invert_car` of the observed
+    CAR, or None with the reason in `p_estimate_note`.
     """
     validate(config)
     if gates < 1:
@@ -496,7 +498,8 @@ def run_car(
             f"park the delay off the dip (overlap < 1e-6) for CAR runs"
         )
 
-    pmf = _car_pattern_distribution(config)
+    terms = car_terms(config)
+    pmf = car_slot_pmf(*terms)
     q_a = pmf[_P10] + pmf[_P11]
     q_b = pmf[_P01] + pmf[_P11]
     offsets = np.arange(1, n_offset_slots + 1)
@@ -549,14 +552,10 @@ def run_car(
     accidental_rate = total_unmatched / float((gates - offsets).sum())
     car = matched_rate / accidental_rate
 
-    _, *detection = car_terms(config)
     try:
-        p_estimate = invert_car(max(car, 1.0), *detection)
-    except CalibrationError:
-        # CAR above the model maximum (low-statistics tails) or below its
-        # value at the p = 0.5 bound (every bright run): the peak-rate p is wrong
-        # for the latter. ROADMAP item 1 replaces this bounded inversion.
-        p_estimate = car_peak_pair_rate(*detection)
+        p_estimate, note = invert_car(car, *terms[1:]), None
+    except CalibrationError as exc:
+        p_estimate, note = None, str(exc)
     return CarResult(
         matched_coincidences=matched,
         unmatched_coincidences=tuple(unmatched),
@@ -565,6 +564,7 @@ def run_car(
         gates=gates,
         singles_a=int(counts[_P10] + counts[_P11]),
         singles_b=int(counts[_P01] + counts[_P11]),
+        p_estimate_note=note,
     )
 
 

@@ -36,6 +36,7 @@ from hombench import (
     splitter_unitary,
     visibility_prediction,
 )
+from hombench.analytics import car_terms
 from hombench.analytics import dip_curve as _dip_curve
 from hombench.fitting import _dip_jacobian_external
 from hombench.fock import temporal_decompose
@@ -132,14 +133,7 @@ class TestCriterion1HeadlineDip:
 
 def test_criterion_2_car_bracket(criterion):
     cfg = default_config(delay_ps=60.0)
-    divider = cfg.timing.gate_divider
-    analytic = car_prediction(
-        cfg.source.mean_pairs_per_pulse,
-        cfg.channel_s.transmittance,
-        cfg.channel_i.transmittance,
-        cfg.detector_a.dark_prob_per_gate / divider,
-        cfg.detector_b.dark_prob_per_gate / divider,
-    )
+    analytic = car_prediction(*car_terms(cfg))
     t0 = time.perf_counter()
     result = run_car(cfg, gates=10**10, seed=2)
     elapsed = time.perf_counter() - t0

@@ -22,7 +22,7 @@ from hombench import (
     splitter_dip_factor,
     visibility_prediction,
 )
-from hombench.analytics import car_peak_pair_rate, dip_curve
+from hombench.analytics import car_peak_pair_rate, car_terms, dip_curve
 
 REFERENCE_SPLITTER = BeamSplitter.from_db(-3.3, -3.6)
 REFERENCE_FACTOR = splitter_dip_factor(REFERENCE_SPLITTER)
@@ -173,19 +173,12 @@ class TestCar:
 
     def test_worked_example(self):
         assert car_prediction(0.03, 0.01, 0.01, 1e-4, 1e-4) == pytest.approx(
-            19.754219040035107, rel=1e-12
+            19.742060684269795, rel=1e-12
         )
 
     def test_calibrated_defaults_bracket_the_headline(self, default_cfg):
-        divider = default_cfg.timing.gate_divider
-        car = car_prediction(
-            default_cfg.source.mean_pairs_per_pulse,
-            default_cfg.channel_s.transmittance,
-            default_cfg.channel_i.transmittance,
-            default_cfg.detector_a.dark_prob_per_gate / divider,
-            default_cfg.detector_b.dark_prob_per_gate / divider,
-        )
-        assert car == pytest.approx(29.52191036502193, rel=1e-9)
+        car = car_prediction(*car_terms(default_cfg))
+        assert car == pytest.approx(29.457666308711875, rel=1e-9)
         assert 20.0 < car < 40.0
 
     def test_decreasing_in_darks_and_at_least_one(self):
@@ -211,41 +204,52 @@ class TestCar:
             car_prediction(0.01, 1.1, 0.1, 1e-4, 1e-4)
         with pytest.raises(ValueError):
             car_prediction(0.01, 0.1, 0.1, 1.0, 1e-4)
+        with pytest.raises(ValueError):
+            car_prediction(0.01, 0.1, 0.1, 1e-4, 1e-4, 1.5)
 
-    def test_peak_pair_rate(self):
-        assert car_peak_pair_rate(0.1, 0.2, 1e-5, 2e-5) == pytest.approx(
-            math.sqrt(2e-10 / 0.02), rel=1e-12
+    def test_peak_pair_rate_maximises_the_car(self, default_cfg):
+        # At the reference instrument the peak is in the low-rate regime,
+        # where it tends to sqrt(dark_a dark_b / (eta_s eta_i)).
+        _, *terms = car_terms(default_cfg)
+        eta_s, eta_i, dark_a, dark_b, _ = terms
+        peak = car_peak_pair_rate(*terms)
+        assert peak == pytest.approx(
+            math.sqrt(dark_a * dark_b / (eta_s * eta_i)), rel=1e-3
         )
+        top = car_prediction(peak, *terms)
+        for p in peak * np.array([1e-3, 0.5, 0.99, 0.999, 1.001, 1.01, 2.0, 1e3]):
+            assert car_prediction(p, *terms) < top
 
-    def test_invert_round_trip(self):
-        p0 = 0.03
-        car = car_prediction(p0, 0.1, 0.08, 1e-5, 2e-5)
-        assert invert_car(car, 0.1, 0.08, 1e-5, 2e-5) == pytest.approx(p0, rel=1e-9)
-
-    def test_invert_round_trip_without_darks(self):
-        # Both detectors dark-free: the CAR diverges as p -> 0+.
-        car = car_prediction(0.03, 0.1, 0.1, 0.0, 0.0)
-        assert invert_car(car, 0.1, 0.1, 0.0, 0.0) == pytest.approx(0.03, rel=1e-9)
-
-    @pytest.mark.parametrize("darks", [(0.0, 2e-5), (1e-5, 0.0)])
-    def test_invert_round_trip_with_one_dark_free_detector(self, darks):
-        car = car_prediction(0.03, 0.1, 0.08, *darks)
-        assert invert_car(car, 0.1, 0.08, *darks) == pytest.approx(0.03, rel=1e-9)
+    @pytest.mark.parametrize("leak", [0.0, 1e-3])
+    @pytest.mark.parametrize("darks", [(0.0, 0.0), (0.0, 2e-7), (1e-7, 0.0), (1e-7, 3e-7)])
+    @pytest.mark.parametrize("eta", [4e-3, 0.05, 0.3, 1.0])
+    def test_invert_round_trips(self, eta, darks, leak):
+        # Every p here lies past the peak (below 1e-4 for these darks), on
+        # the falling branch the inversion takes.
+        terms = (eta, 0.8 * eta, *darks, leak)
+        assert car_peak_pair_rate(*terms) < 1e-4
+        for p in (1e-3, 0.01, 0.1, 1.0, 10.0):
+            car = car_prediction(p, *terms)
+            assert invert_car(car, *terms) == pytest.approx(p, rel=1e-9), p
 
     def test_one_dark_free_detector_bounds_the_car(self):
-        # p -> 0+ limit: 1 + eta / dark of the detector that has darks.
-        limit = 1.0 + 0.08 / 2e-5
-        assert invert_car(limit * 0.999, 0.1, 0.08, 0.0, 2e-5) > 0.0
+        # p -> 0+ limit: 1 + (1 - dark) eta / dark, from the detector that has
+        # darks and the efficiency of the other arm.
+        limit = 1.0 + (1.0 - 2e-5) * 0.08 / 2e-5
+        assert invert_car(limit * 0.999, 0.1, 0.08, 0.0, 2e-5, 0.0) > 0.0
         with pytest.raises(CalibrationError):
-            invert_car(limit * 1.001, 0.1, 0.08, 0.0, 2e-5)
+            invert_car(limit * 1.001, 0.1, 0.08, 0.0, 2e-5, 0.0)
 
-    def test_invert_rejects_unreachable_car(self):
-        peak = car_peak_pair_rate(0.1, 0.1, 1e-5, 1e-5)
-        too_high = car_prediction(peak, 0.1, 0.1, 1e-5, 1e-5) * 1.01
+    def test_invert_rejects_unreachable_car(self, default_cfg):
+        _, *terms = car_terms(default_cfg)
+        top = car_prediction(car_peak_pair_rate(*terms), *terms)
+        assert invert_car(top * 0.999, *terms) > car_peak_pair_rate(*terms)
+        for car in (top * 1.01, 1.0, 0.5):
+            with pytest.raises(CalibrationError):
+                invert_car(car, *terms)
+        # A blind arm: the CAR is 1 at every pair rate.
         with pytest.raises(CalibrationError):
-            invert_car(too_high, 0.1, 0.1, 1e-5, 1e-5)
-        with pytest.raises(ValueError):
-            invert_car(0.5, 0.1, 0.1, 1e-5, 1e-5)
+            invert_car(2.0, 0.0, 0.1, 1e-5, 1e-5, 0.0)
 
 
 def test_budget_from_config_averages_channels(default_cfg):

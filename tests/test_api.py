@@ -34,6 +34,7 @@ PUBLIC = {
 # Test oracles and internal helpers: importable only at their module path.
 MODULE_ONLY = {
     "car_peak_pair_rate": "analytics",
+    "car_slot_pmf": "analytics",
     "dip_curve": "analytics",
     "linear_to_db": "model",
     "clicks_from_occupation": "fock",

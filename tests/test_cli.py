@@ -50,7 +50,7 @@ class TestPredict:
         assert report["kind"] == "predict"
         analytic = report["analytic"]
         assert analytic["visibility_budget"] == pytest.approx(0.80, abs=1e-9)
-        assert analytic["car"] == pytest.approx(29.52191036502193, rel=1e-9)
+        assert analytic["car"] == pytest.approx(29.457666308711875, rel=1e-9)
         assert analytic["sigma_ps"] == pytest.approx(1.6986436005760381, rel=1e-12)
         assert (tmp_path / "run" / "predict.csv").exists()
 
@@ -393,6 +393,35 @@ class TestCar:
         assert proc.returncode == 0, proc.stderr
         report = read_json(tmp_path / "run" / "report.json")
         assert report["data"]["p_estimate"] == pytest.approx(0.03, rel=0.1)
+
+    def test_bright_run_meets_the_exact_car_and_pair_rate(self, tmp_path):
+        # The car-bright benchmark config at its smoke size, held to the
+        # benchmark's own car check. 86% of slots click both detectors.
+        proc = run_cli(
+            "car", "--pairs-per-pulse", "2", "--eta", "1", "--gates", "2e4",
+            "--out", str(tmp_path / "run"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = read_json(tmp_path / "run" / "report.json")
+        data = report["data"]
+        accidentals = sum(data["unmatched_coincidences"])
+        sigma = data["car"] * math.sqrt(
+            1.0 / data["matched_coincidences"] + 1.0 / accidentals
+        )
+        assert abs(report["analytic"]["car"] - data["car"]) <= 5.0 * sigma
+        assert data["p_estimate"] == pytest.approx(2.0, rel=0.1)
+
+    def test_car_below_one_has_no_pair_rate(self, tmp_path):
+        # A dark-only run whose observed CAR falls below 1 (0.73 at this
+        # seed): no pair rate gives it, and the run says why.
+        proc = run_cli(
+            "car", "--pairs-per-pulse", "0", "--eta", "0.1",
+            "--dark-prob-a", "0.01", "--dark-prob-b", "0.01",
+            "--gates", "5e7", "--seed", "1", "--out", str(tmp_path / "run"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "p_estimate: none (CAR 0.731707 is not above 1" in proc.stdout
+        assert read_json(tmp_path / "run" / "report.json")["data"]["p_estimate"] is None
 
     def test_dark_only_car_is_near_one(self, tmp_path):
         proc = run_cli(

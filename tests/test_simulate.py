@@ -1,5 +1,6 @@
 """Monte Carlo engine: samplers, determinism, and oracle agreement."""
 
+import decimal
 import math
 import re
 import sys
@@ -28,8 +29,8 @@ from hombench import (
     visibility_prediction,
 )
 from hombench import exact, fock, simulate
-from hombench.analytics import car_terms
-from hombench.exact import _car_pattern_distribution, _pair_arrangements, _pair_pattern_probs
+from hombench.analytics import car_slot_pmf, car_terms
+from hombench.exact import _pair_arrangements, _pair_pattern_probs
 from hombench.simulate import CarResult, _offset_walk, thread_cap
 
 # Pattern vector order: (no click, B only, A only, both).
@@ -125,18 +126,50 @@ class TestGatePatternDistribution:
             source=replace(default_cfg.source, mean_pairs_per_pulse=p),
             channel_s=OpticalChannel(eta), channel_i=OpticalChannel(0.8 * eta),
         )
-        _, u_s, u_i, dark_a, dark_b = car_terms(cfg)
-        leak = 1.0 / cfg.source.extinction_ratio
+        _, u_s, u_i, dark_a, dark_b, leak = car_terms(cfg)
+        assert leak == 1.0 / cfg.source.extinction_ratio
         a_silent = (1.0 - (1.0 - leak) * u_s) * (1.0 - leak * u_s)
         b_silent = (1.0 - (1.0 - leak) * u_i) * (1.0 - leak * u_i)
         silent = (1.0 - (1.0 - leak) * u_s - leak * u_i) * (1.0 - leak * u_s - (1.0 - leak) * u_i)
-        pmf = _car_pattern_distribution(cfg)
+        pmf = car_slot_pmf(*car_terms(cfg))
         for got, want in (
             (pmf[0], (1.0 - dark_a) * (1.0 - dark_b) * _poisson_mixture(p, silent)),
             (pmf[0] + pmf[1], (1.0 - dark_a) * _poisson_mixture(p, a_silent)),
             (pmf[0] + pmf[2], (1.0 - dark_b) * _poisson_mixture(p, b_silent)),
         ):
             assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("extinction", [1e30, 1e3, 10.0])
+    @pytest.mark.parametrize("darks", [(0.0, 0.0), (0.0, 2e-4), (1e-4, 3e-4)])
+    def test_car_matches_the_routing_enumerator(self, default_cfg, extinction, darks):
+        # The per-slot CAR from one pair's routed arrangements, each fixing a
+        # click pattern (A reads arm s, B arm i), mixed in 40-digit decimals.
+        pattern = {"none": 0, "single_i": 1, "same_i": 1,
+                   "single_s": 2, "same_s": 2, "cross": 3}
+        for p, eta in ((p, eta) for p in (0.0, 1e-3, 0.03, 1.0, 5.0)
+                       for eta in (4e-3, 0.1, 1.0)):
+            if p == 0.0 and 0.0 in darks:
+                continue  # a detector that never clicks: no accidentals
+            cfg = replace(
+                default_cfg, delay_ps=60.0,
+                source=replace(default_cfg.source, mean_pairs_per_pulse=p,
+                               extinction_ratio=extinction),
+                channel_s=OpticalChannel(eta), channel_i=OpticalChannel(0.8 * eta),
+                detector_a=replace(default_cfg.detector_a, dark_prob_per_gate=darks[0]),
+                detector_b=replace(default_cfg.detector_b, dark_prob_per_gate=darks[1]),
+            )
+            terms = car_terms(cfg)
+            with decimal.localcontext(prec=40):
+                pi = [decimal.Decimal(0)] * 4
+                for weight, kind in _pair_arrangements(terms[5], terms[1], terms[2]):
+                    pi[pattern[kind]] += decimal.Decimal(weight)
+                mean, dark_a, dark_b = (decimal.Decimal(v) for v in (p, *terms[3:5]))
+                silent_a = (1 - dark_a) * (-mean * (pi[2] + pi[3])).exp()
+                silent_b = (1 - dark_b) * (-mean * (pi[1] + pi[3])).exp()
+                silent = (1 - dark_a) * (1 - dark_b) * (-mean * sum(pi[1:])).exp()
+                both = 1 - silent_a - silent_b + silent
+                enumerated = float(both / ((1 - silent_a) * (1 - silent_b)))
+            assert car_prediction(*terms) == pytest.approx(enumerated, rel=1e-10), (p, eta)
 
     @pytest.mark.parametrize("p, gap", [(0.03, 0.0270428), (0.1, 0.0800326)])
     def test_multimode_limit_against_identical_pairs(self, symmetric_cfg, p, gap):
@@ -661,10 +694,10 @@ class TestRunCar:
         parked = replace(default_cfg, delay_ps=10.0 * default_cfg.wavepacket.sigma_ps)
         bright = _bright(parked)
         np.testing.assert_allclose(
-            _car_pattern_distribution(parked), FROZEN_CAR_PMF, rtol=1e-10
+            car_slot_pmf(*car_terms(parked)), FROZEN_CAR_PMF, rtol=1e-10
         )
         np.testing.assert_allclose(
-            _car_pattern_distribution(bright), FROZEN_BRIGHT_CAR_PMF, rtol=1e-10
+            car_slot_pmf(*car_terms(bright)), FROZEN_BRIGHT_CAR_PMF, rtol=1e-10
         )
 
     @pytest.mark.parametrize("bright", [False, True])
@@ -678,11 +711,11 @@ class TestRunCar:
             expected = CarResult(
                 431965, (373610, 373540, 373407, 373468, 373412, 373397, 373321,
                          373417, 373276, 373403),
-                1.156752045818559, 9.317853830147799e-06, 500_000, 432132, 432108)
+                1.156752045818559, 1.9986841320213562, 500_000, 432132, 432108)
         else:
             expected = CarResult(
                 5965, (210, 216, 218, 192, 197, 201, 183, 198, 174, 202),
-                29.959819169860626, 0.02946693457220441, 10**10, 1360355, 1467054)
+                29.959819169860626, 0.029388904738530616, 10**10, 1360355, 1467054)
         result = run_car(cfg, expected.gates, seed=14)
         assert result == replace(
             expected, car=pytest.approx(expected.car, rel=1e-12),
@@ -696,7 +729,7 @@ class TestRunCar:
         cfg = _bright(replace(default_cfg, delay_ps=10.0 * default_cfg.wavepacket.sigma_ps))
         expected = {
             1: CarResult(432052, (373522,), 1.1566952840689437,
-                         9.317853830147799e-06, 500_000, 432201, 432201),
+                         1.9989972381892553, 500_000, 432201, 432201),
             100: CarResult(431965, (
                 373610, 373540, 373407, 373468, 373412, 373397, 373321, 373417, 373276,
                 373403, 373537, 373397, 373487, 373439, 373459, 373541, 373293, 373498,
@@ -709,7 +742,7 @@ class TestRunCar:
                 373456, 373354, 373486, 373350, 373316, 373346, 373355, 373332, 373261,
                 373392, 373558, 373322, 373274, 373376, 373280, 373384, 373286, 373395,
                 373300, 373394, 373344, 373346, 373431, 373306, 373398, 373404, 373334,
-                373432), 1.1566945238031348, 9.317853830147799e-06, 500_000, 432132, 432108),
+                373432), 1.1566945238031348, 1.999001432801229, 500_000, 432132, 432108),
         }[k]
         result = run_car(cfg, expected.gates, n_offset_slots=k, seed=14)
         assert result == replace(
@@ -759,11 +792,8 @@ class TestRunCar:
     def test_dense_clicks_meet_the_exact_car(self, symmetric_cfg):
         # p = 2, eta = 1: 86% of gates click both detectors.
         cfg = symmetric_cfg(2.0, 1.0, 1e-4, delay_ps=60.0)
-        pmf = _car_pattern_distribution(cfg)
-        exact = pmf[3] / ((pmf[2] + pmf[3]) * (pmf[1] + pmf[3]))
-        assert exact == pytest.approx(1.157, abs=5e-4)
-        # The closed form keeps only the single-pair true term.
-        assert car_prediction(*car_terms(cfg)) == pytest.approx(3.675, abs=5e-4)
+        exact = car_prediction(*car_terms(cfg))
+        assert exact == pytest.approx(1.1565, abs=5e-4)
         result = run_car(cfg, 200_000, seed=0)
         accidentals = sum(result.unmatched_coincidences)
         sigma = result.car * math.sqrt(
@@ -795,7 +825,7 @@ class TestRunCar:
         # clicks inside a run have gaps > k_max on both sides, so any such
         # placement pairs with nothing; the one run across the last gate is
         # placed by its cut points, which decide how many of them count.
-        pmf = _car_pattern_distribution(cfg)
+        pmf = car_slot_pmf(*car_terms(cfg))
         q = 1.0 - pmf[0]
         base = np.random.SeedSequence(5)
         pos, pat = [], []
@@ -884,7 +914,7 @@ class TestRunCar:
         cfg = replace(default_cfg, delay_ps=10.0 * default_cfg.wavepacket.sigma_ps)
         if dense:
             cfg = _bright(cfg)
-        pmf = _car_pattern_distribution(cfg)
+        pmf = car_slot_pmf(*car_terms(cfg))
         q_a, q_b = pmf[2] + pmf[3], pmf[1] + pmf[3]
         results = [run_car(cfg, gates, seed=seed) for seed in range(23, 23 + seeds)]
         for field, prob in (("singles_a", q_a), ("singles_b", q_b),
