@@ -251,31 +251,40 @@ def car_peak_pair_rate(
 
 
 def invert_car(
-    car: float, eta_s: float, eta_i: float, dark_a: float, dark_b: float, leak: float
+    car: float, singles: float,
+    eta_s: float, eta_i: float, dark_a: float, dark_b: float, leak: float,
 ) -> float:
-    """Pair rate whose exact CAR is `car`, on the branch past the peak.
+    """Pair rate whose exact CAR is `car`, on the branch its singles pick.
 
-    Bisects log p from `car_peak_pair_rate`, where the falling branch a
-    bright source operates on starts, to `_CAR_SATURATED` / min(eta).
-    Raises CalibrationError when `car` is at most 1 or above the maximum.
+    A CAR between 1 and its maximum at `car_peak_pair_rate` is met twice:
+    below the peak, where darks make the accidentals, and past it, where
+    further pairs do. The singles product q_A q_B rises with p on both, so
+    an observed `singles` below its value at the peak picks the rising
+    branch. Bisects log p from the peak to that branch's end, 1e-12 /
+    max(eta) or `_CAR_SATURATED` / min(eta). Raises CalibrationError when
+    `car` is at most 1 or above the maximum.
     """
     if not car > 1.0:
         raise CalibrationError(f"CAR {car:g} is not above 1: no pair rate gives it")
     terms = (eta_s, eta_i, dark_a, dark_b, leak)
     p_peak = car_peak_pair_rate(*terms)
-    car_max = car_prediction(p_peak, *terms)
+    _, p01, p10, p11 = car_slot_pmf(p_peak, *terms)
+    peak_singles = (p10 + p11) * (p01 + p11)
+    car_max = float(p11 / peak_singles)
     if car > car_max:
         raise CalibrationError(
             f"CAR {car:g} exceeds the model maximum {car_max:g} at p = {p_peak:g}"
         )
-    lo, hi = math.log(p_peak), math.log(_CAR_SATURATED / min(eta_s, eta_i))
-    while hi - lo > _RTOL:
-        mid = 0.5 * (lo + hi)
+    rising = singles < peak_singles
+    near = math.log(p_peak)
+    far = math.log(1e-12 / max(eta_s, eta_i) if rising else _CAR_SATURATED / min(eta_s, eta_i))
+    while abs(far - near) > _RTOL:
+        mid = 0.5 * (near + far)
         if car_prediction(math.exp(mid), *terms) >= car:
-            lo = mid
+            near = mid
         else:
-            hi = mid
-    return math.exp(0.5 * (lo + hi))
+            far = mid
+    return math.exp(0.5 * (near + far))
 
 
 def calibrate_eta(

@@ -39,7 +39,7 @@ from .analytics import (
     splitter_dip_factor,
     visibility_prediction,
 )
-from .exact import gate_pattern_distribution
+from .exact import exact_visibility, gate_pattern_distribution
 from .fitting import FitResult, fit_dip
 from .model import ConfigError, ExperimentConfig, ScanPoint
 from .simulate import (
@@ -205,14 +205,16 @@ def cmd_predict(args: argparse.Namespace, config: ExperimentConfig) -> _Outcome:
     }
     analytic.update(
         {
+            "visibility_exact": reporting.defined(exact_visibility(config)),
             "indistinguishability": overlap_i,
             "amplitude_overlap": kappa,
             "dip_min_over_baseline": dip_min,
         }
     )
-    car = analytic["car"]
+    car, v_exact = analytic["car"], analytic["visibility_exact"]
     rows: list[tuple[str, Any]] = [
         ("visibility", analytic["visibility_budget"]),
+        ("visibility_exact", v_exact if v_exact is not None else "no coincidences"),
         ("dip_min_over_baseline", dip_min),
         ("indistinguishability", overlap_i),
         ("amplitude_overlap", kappa),
@@ -308,14 +310,16 @@ def cmd_dip_scan(args: argparse.Namespace, config: ExperimentConfig) -> _Outcome
         "gates_per_point": args.gates,
         "repeats": args.repeats,
         "sampler": args.sampler,
-        "points": [reporting.point_to_dict(pt) for pt in points],
+        "points": reporting.points_to_columns(points),
         "repeat_stats": repeat_stats,
         "fit": reporting.fit_to_dict(fit) if fit is not None else None,
         "fit_error": fit_error,
     }
     code = EXIT_OK if _fit_holds(fit) else EXIT_NO_CONVERGENCE
     csv_text = reporting.points_csv(points, repeat_stats=repeat_stats)
-    return code, config, data, _analytic_block(config), {"points.csv": csv_text}
+    analytic = {**_analytic_block(config),
+                "visibility_exact": reporting.defined(exact_visibility(config))}
+    return code, config, data, analytic, {"points.csv": csv_text}
 
 
 def cmd_visibility_sweep(
@@ -327,7 +331,7 @@ def cmd_visibility_sweep(
         delays=delays, sampler=args.sampler,
     )
 
-    print("pairs_per_pulse  visibility_fit           visibility_predicted")
+    print("pairs_per_pulse  visibility_fit           visibility_predicted  visibility_exact")
     table_rows: list[dict[str, Any]] = []
     report_rows: list[dict[str, Any]] = []
     for row in rows:
@@ -335,6 +339,7 @@ def cmd_visibility_sweep(
         entry: dict[str, Any] = {
             "pairs_per_pulse": row.pairs_per_pulse,
             "visibility_predicted": row.predicted_visibility,
+            "visibility_exact": reporting.defined(row.exact_visibility),
             "converged": None,
             "visibility_fit": None,
             "visibility_err": None,
@@ -352,14 +357,14 @@ def cmd_visibility_sweep(
             )
             fitted = f"{fit.params.visibility:.4f} +/- {fit.visibility_error:.4f}"
         print(f"{row.pairs_per_pulse:<16.4g} {fitted:<24} "
-              f"{row.predicted_visibility:.4f}")
+              f"{row.predicted_visibility:<21.4f} {row.exact_visibility:.4f}")
         table_rows.append(entry)
         report_rows.append(
             {
                 **entry,
                 "error": row.error,
                 "fit": reporting.fit_to_dict(fit) if fit is not None else None,
-                "points": [reporting.point_to_dict(pt) for pt in row.scan],
+                "points": reporting.points_to_columns(row.scan),
             }
         )
 
@@ -421,7 +426,7 @@ def cmd_fit(args: argparse.Namespace, config: ExperimentConfig) -> _Outcome:
     fit, fit_error = _fit_and_print(points, config, args.fit_center)
     data: dict[str, Any] = {
         "source_csv": str(args.csv),
-        "points": [reporting.point_to_dict(pt) for pt in points],
+        "points": reporting.points_to_columns(points),
     }
     analytic = {"dip_factor": splitter_dip_factor(config.splitter)}
     if fit is None:

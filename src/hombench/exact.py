@@ -29,13 +29,14 @@ overlaps (`_gate_pmfs`).
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
 
 from . import fock
-from .analytics import amplitude_overlap
+from .analytics import amplitude_overlap, splitter_dip_factor
 from .model import ExperimentConfig, validate
 
 # Pattern vector order everywhere in the package: (no click, B only,
@@ -198,3 +199,13 @@ def gate_pattern_distribution(
         raise ValueError(f"kappa must be in [0, 1] (got {kappa!r})")
     return _gate_pmfs(config, [kappa])[0]
 
+
+def exact_visibility(config: ExperimentConfig) -> float:
+    """Dip visibility the exact model tends to, whatever the gate count:
+    (1 - P11(kappa=1) / P11(kappa=0)) / `splitter_dip_factor`, in the
+    normalization `fit_dip` reports; NaN when no gate ever clicks both."""
+    validate(config)
+    p11_twin, p11_split = _gate_pmfs(config, [1.0, 0.0])[:, _P11]
+    if p11_split == 0.0:
+        return math.nan  # no coincidences, so no dip
+    return float((1.0 - p11_twin / p11_split) / splitter_dip_factor(config.splitter))

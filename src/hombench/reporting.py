@@ -2,7 +2,7 @@
 
 A report is self-contained: it embeds the full config snapshot plus the
 seed, so re-running the tool with those reproduces the counts exactly.
-JSON is json's indent-2 sorted form, written in pieces from its C encoder;
+JSON is json's indent-2 sorted form, with scan points stored as columns;
 apart from `wall_seconds` the bytes are a pure function of config, seed,
 and code version. CSV output is locale-independent ('.' decimal separator,
 ',' field separator) with one stable column schema for point data:
@@ -17,19 +17,18 @@ count columns then hold totals across repeats).
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from ._version import __version__
 from .configio import config_to_schema_dict
 from .fitting import FitResult
 from .model import ExperimentConfig, ScanPoint
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 TOOL_NAME = "hombench"
 
 POINT_COLUMNS = ("delay_ps", "gates", "singles_a", "singles_b", "coincidences")
@@ -55,8 +54,9 @@ def fit_to_dict(fit: FitResult) -> dict[str, Any]:
     }
 
 
-def point_to_dict(point: ScanPoint) -> dict[str, Any]:
-    return {column: getattr(point, column) for column in POINT_COLUMNS}
+def points_to_columns(points: Sequence[ScanPoint]) -> dict[str, list[Any]]:
+    """Scan points as one list per `POINT_COLUMNS` column, as JSON stores them."""
+    return {column: [getattr(pt, column) for pt in points] for column in POINT_COLUMNS}
 
 
 def build_report(
@@ -79,61 +79,13 @@ def build_report(
     }
 
 
-_CONTAINERS = (dict, list, tuple)
-
-
-@functools.cache
-def _encoder(level: int) -> json.JSONEncoder:
-    # No `indent`, so json takes its C encoder; items break to `level`.
-    return json.JSONEncoder(separators=(",\n" + "  " * level, ": "),
-                            sort_keys=True, allow_nan=False)
-
-
-def _flat(obj: dict | list | tuple) -> bool:
-    values = obj.values() if isinstance(obj, dict) else obj
-    return not any(isinstance(v, _CONTAINERS) for v in values)
-
-
-def _chunks(obj: Any, level: int) -> Iterator[str]:
-    """`json.dumps(obj, indent=2, sort_keys=True)` in pieces, `obj` at `level`;
-    one encoder call per container of scalars or list of flat dicts. Keys
-    above those must be str (TypeError otherwise)."""
-    pad, inner = "\n" + "  " * level, "\n" + "  " * (level + 1)
-    if not isinstance(obj, _CONTAINERS) or not obj:
-        yield _encoder(level).encode(obj)
-    elif _flat(obj):
-        text = _encoder(level + 1).encode(obj)
-        yield text[0] + inner + text[1:-1] + pad + text[-1]
-    elif isinstance(obj, list) and all(isinstance(v, dict) and v and _flat(v) for v in obj):
-        # Encoded at the dicts' item indent, the breaks between dicts move
-        # out a level. JSON strings hold no raw newline, so "},\n" ends a dict.
-        deeper = inner + "  "
-        text = _encoder(level + 2).encode(obj)
-        text = text.replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
-        yield "[" + inner + "{" + deeper + text[2:-2] + inner + "}" + pad + "]"
-    elif isinstance(obj, dict):
-        if not all(isinstance(key, str) for key in obj):
-            raise TypeError("keys must be str above the containers of scalars")
-        for i, key in enumerate(sorted(obj)):
-            yield ("," if i else "{") + inner + _encoder(0).encode(key) + ": "
-            yield from _chunks(obj[key], level + 1)
-        yield pad + "}"
-    else:
-        for i, value in enumerate(obj):
-            yield ("," if i else "[") + inner
-            yield from _chunks(value, level + 1)
-        yield pad + "]"
-
-
 def report_json(report: Mapping[str, Any]) -> str:
-    return "".join(_chunks(report, 0)) + "\n"
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_report(report: Mapping[str, Any], path: str | Path) -> None:
-    """Write `report_json(report)` in pieces; one that fails to encode writes nothing."""
-    pieces = [*_chunks(report, 0), "\n"]
-    with Path(path).open("w") as fh:
-        fh.writelines(pieces)
+    """Write `report_json(report)`; a report that fails to encode writes nothing."""
+    Path(path).write_text(report_json(report))
 
 
 def _fmt(value: Any) -> str:
@@ -165,7 +117,7 @@ def points_csv(
     """
     if repeat_stats is not None and len(repeat_stats) != len(points):
         raise ValueError("repeat_stats length must match points")
-    rows = [list(point_to_dict(pt).values()) for pt in points]
+    rows = [list(row) for row in zip(*points_to_columns(points).values())]
     if repeat_stats is None:
         return table_csv(POINT_COLUMNS, rows)
     for row, (mean, stddev) in zip(rows, repeat_stats):

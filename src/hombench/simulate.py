@@ -44,6 +44,7 @@ from .exact import (
     _gate_pmfs,
     _pair_click_dist,
     _pair_pattern_probs,
+    exact_visibility,
     gate_pattern_distribution,  # not called here; perfbench/probe.py reads it here
 )
 from .fitting import FitResult, fit_dip
@@ -104,6 +105,7 @@ class SweepRow:
     scan: tuple[ScanPoint, ...]
     fit: FitResult | None
     predicted_visibility: float
+    exact_visibility: float
     error: str | None = None
 
 
@@ -482,7 +484,8 @@ def run_car(
 
     See `analytics.car_slot_pmf` for the detection geometry and `car_terms`
     for the per-slot darks. `p_estimate` is `invert_car` of the observed
-    CAR, or None with the reason in `p_estimate_note`.
+    CAR on the branch its singles pick, or None with the reason in
+    `p_estimate_note`.
     """
     validate(config)
     if gates < 1:
@@ -552,8 +555,10 @@ def run_car(
     accidental_rate = total_unmatched / float((gates - offsets).sum())
     car = matched_rate / accidental_rate
 
+    singles_a, singles_b = int(counts[_P10] + counts[_P11]), int(counts[_P01] + counts[_P11])
     try:
-        p_estimate, note = invert_car(car, *terms[1:]), None
+        p_estimate = invert_car(car, singles_a * singles_b / gates**2, *terms[1:])
+        note = None
     except CalibrationError as exc:
         p_estimate, note = None, str(exc)
     return CarResult(
@@ -562,8 +567,8 @@ def run_car(
         car=car,
         p_estimate=p_estimate,
         gates=gates,
-        singles_a=int(counts[_P10] + counts[_P11]),
-        singles_b=int(counts[_P01] + counts[_P11]),
+        singles_a=singles_a,
+        singles_b=singles_b,
         p_estimate_note=note,
     )
 
@@ -579,7 +584,8 @@ def run_visibility_sweep(
     """Dip scan and fit at each pair rate; fit failures stay per-row.
 
     Each row gets an independent child seed, a full scan, a lineshape fit,
-    and the closed-form visibility prediction for overlay.
+    and for overlay the closed-form visibility budget and the exact
+    model's visibility.
     """
     validate(config)
     if not p_values:
@@ -592,13 +598,13 @@ def run_visibility_sweep(
         cfg = replace(
             config, source=replace(config.source, mean_pairs_per_pulse=float(p))
         )
-        predicted = visibility_prediction(budget_from_config(cfg))
+        predicted = visibility_prediction(budget_from_config(cfg)), exact_visibility(cfg)
         points = run_dip_scan(
             cfg, delays, gates_per_point, _child(base, j), sampler=sampler
         )
         try:
             fit = fit_dip(points, cfg.splitter)
-            rows.append(SweepRow(float(p), tuple(points), fit, predicted))
+            rows.append(SweepRow(float(p), tuple(points), fit, *predicted))
         except ValueError as exc:
-            rows.append(SweepRow(float(p), tuple(points), None, predicted, str(exc)))
+            rows.append(SweepRow(float(p), tuple(points), None, *predicted, str(exc)))
     return rows

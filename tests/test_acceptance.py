@@ -38,6 +38,7 @@ from hombench import (
 )
 from hombench.analytics import car_terms
 from hombench.analytics import dip_curve as _dip_curve
+from hombench.exact import exact_visibility
 from hombench.fitting import _dip_jacobian_external
 from hombench.fock import temporal_decompose
 
@@ -69,6 +70,9 @@ class TestCriterion1HeadlineDip:
         )
         elapsed = time.perf_counter() - t0
         total = sum(p.coincidences for p in points)
+        # What the scan tends to with unlimited gates, next to the window.
+        asymptote = (f"exact asymptote V* = {exact_visibility(default_cfg):.3f} "
+                     f"against the window [0.75, 0.85]")
         try:
             fit = fit_dip(points, splitter=default_cfg.splitter)
         except ValueError as exc:
@@ -76,7 +80,7 @@ class TestCriterion1HeadlineDip:
                 1,
                 False,
                 f"1e6 gates/point leaves {total} coincidences across 21 "
-                f"points ({elapsed:.2f} s); fit rejects the scan: {exc}",
+                f"points ({elapsed:.2f} s); fit rejects the scan: {exc}; {asymptote}",
             )
             return
         ok = (
@@ -88,7 +92,7 @@ class TestCriterion1HeadlineDip:
             1,
             ok,
             f"V={fit.params.visibility:.4f}, sigma={fit.params.sigma_ps:.3f} ps, "
-            f"{elapsed:.2f} s",
+            f"{elapsed:.2f} s; {asymptote}",
         )
 
     def test_diagnosis_window_stays_out_of_reach_with_unlimited_statistics(
@@ -108,6 +112,7 @@ class TestCriterion1HeadlineDip:
         assert abs(fit.params.visibility - asymptote.params.visibility) < 0.02
         assert not 0.75 <= fit.params.visibility <= 0.85
         assert abs(asymptote.params.visibility - 0.700161) < 1e-3
+        assert abs(asymptote.params.visibility - exact_visibility(default_cfg)) < 1e-4
 
     def test_diagnosis_model_calibrated_efficiency_reaches_the_window(
         self, default_cfg

@@ -22,7 +22,7 @@ from hombench import (
     splitter_dip_factor,
     visibility_prediction,
 )
-from hombench.analytics import car_peak_pair_rate, car_terms, dip_curve
+from hombench.analytics import car_peak_pair_rate, car_slot_pmf, car_terms, dip_curve
 
 REFERENCE_SPLITTER = BeamSplitter.from_db(-3.3, -3.6)
 REFERENCE_FACTOR = splitter_dip_factor(REFERENCE_SPLITTER)
@@ -220,36 +220,49 @@ class TestCar:
         for p in peak * np.array([1e-3, 0.5, 0.99, 0.999, 1.001, 1.01, 2.0, 1e3]):
             assert car_prediction(p, *terms) < top
 
+    @staticmethod
+    def singles(p, *terms):
+        """The singles product q_A q_B a run at pair rate p observes."""
+        _, p01, p10, p11 = car_slot_pmf(p, *terms)
+        return (p10 + p11) * (p01 + p11)
+
     @pytest.mark.parametrize("leak", [0.0, 1e-3])
     @pytest.mark.parametrize("darks", [(0.0, 0.0), (0.0, 2e-7), (1e-7, 0.0), (1e-7, 3e-7)])
     @pytest.mark.parametrize("eta", [4e-3, 0.05, 0.3, 1.0])
     def test_invert_round_trips(self, eta, darks, leak):
-        # Every p here lies past the peak (below 1e-4 for these darks), on
-        # the falling branch the inversion takes.
+        # Pair rates from 1e-3 up lie past the peak (below 1e-4 for these
+        # darks); with both detectors dark, the rates below it lie on the
+        # rising branch, and the singles pick that branch.
         terms = (eta, 0.8 * eta, *darks, leak)
-        assert car_peak_pair_rate(*terms) < 1e-4
-        for p in (1e-3, 0.01, 0.1, 1.0, 10.0):
+        peak = car_peak_pair_rate(*terms)
+        assert peak < 1e-4
+        rising = (0.01 * peak, 0.3 * peak) if min(darks) > 0.0 else ()
+        for p in (*rising, 1e-3, 0.01, 0.1, 1.0, 10.0):
             car = car_prediction(p, *terms)
-            assert invert_car(car, *terms) == pytest.approx(p, rel=1e-9), p
+            assert invert_car(car, self.singles(p, *terms), *terms) == pytest.approx(
+                p, rel=1e-9), p
 
     def test_one_dark_free_detector_bounds_the_car(self):
         # p -> 0+ limit: 1 + (1 - dark) eta / dark, from the detector that has
         # darks and the efficiency of the other arm.
         limit = 1.0 + (1.0 - 2e-5) * 0.08 / 2e-5
-        assert invert_car(limit * 0.999, 0.1, 0.08, 0.0, 2e-5, 0.0) > 0.0
+        terms = (0.1, 0.08, 0.0, 2e-5, 0.0)
+        assert invert_car(limit * 0.999, self.singles(1e-3, *terms), *terms) > 0.0
         with pytest.raises(CalibrationError):
-            invert_car(limit * 1.001, 0.1, 0.08, 0.0, 2e-5, 0.0)
+            invert_car(limit * 1.001, self.singles(1e-3, *terms), *terms)
 
     def test_invert_rejects_unreachable_car(self, default_cfg):
         _, *terms = car_terms(default_cfg)
-        top = car_prediction(car_peak_pair_rate(*terms), *terms)
-        assert invert_car(top * 0.999, *terms) > car_peak_pair_rate(*terms)
+        peak = car_peak_pair_rate(*terms)
+        top = car_prediction(peak, *terms)
+        assert invert_car(top * 0.999, self.singles(2 * peak, *terms), *terms) > peak
+        assert invert_car(top * 0.999, self.singles(peak / 2, *terms), *terms) < peak
         for car in (top * 1.01, 1.0, 0.5):
             with pytest.raises(CalibrationError):
-                invert_car(car, *terms)
+                invert_car(car, self.singles(peak, *terms), *terms)
         # A blind arm: the CAR is 1 at every pair rate.
         with pytest.raises(CalibrationError):
-            invert_car(2.0, 0.0, 0.1, 1e-5, 1e-5, 0.0)
+            invert_car(2.0, 1e-6, 0.0, 0.1, 1e-5, 1e-5, 0.0)
 
 
 def test_budget_from_config_averages_channels(default_cfg):

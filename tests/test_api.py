@@ -36,6 +36,7 @@ MODULE_ONLY = {
     "car_peak_pair_rate": "analytics",
     "car_slot_pmf": "analytics",
     "dip_curve": "analytics",
+    "exact_visibility": "exact",
     "linear_to_db": "model",
     "clicks_from_occupation": "fock",
     "permanent": "fock",

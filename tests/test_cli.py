@@ -7,7 +7,8 @@ import pytest
 
 from conftest import run_cli
 from hombench import load_config, run_dip_scan
-from hombench.reporting import points_csv, read_points_csv
+from hombench.exact import exact_visibility
+from hombench.reporting import POINT_COLUMNS, points_csv, read_points_csv
 
 BOOST = ["--eta", "0.2", "--pairs-per-pulse", "0.05"]
 
@@ -46,10 +47,13 @@ class TestPredict:
         assert "visibility" in proc.stdout
         assert "car" in proc.stdout
         report = read_json(tmp_path / "run" / "report.json")
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["kind"] == "predict"
         analytic = report["analytic"]
         assert analytic["visibility_budget"] == pytest.approx(0.80, abs=1e-9)
+        assert analytic["visibility_exact"] == pytest.approx(0.7001545095385033, rel=1e-9)
+        rows = (tmp_path / "run" / "predict.csv").read_text().splitlines()
+        assert rows[2] == f"visibility_exact,{analytic['visibility_exact']!r}"
         assert analytic["car"] == pytest.approx(29.457666308711875, rel=1e-9)
         assert analytic["sigma_ps"] == pytest.approx(1.6986436005760381, rel=1e-12)
         assert (tmp_path / "run" / "predict.csv").exists()
@@ -65,6 +69,8 @@ class TestPredict:
         report = read_json(tmp_path / "run" / "report.json")
         assert report["analytic"]["car"] is None
         assert "no accidentals" in report["analytic"]["car_note"]
+        # No gate clicks both detectors, so there is no dip to predict.
+        assert report["analytic"]["visibility_exact"] is None
 
     def test_flag_overrides_beat_config_file(self, tmp_path):
         cfg_path = tmp_path / "partial.json"
@@ -152,6 +158,8 @@ class TestDipScan:
         assert report["kind"] == "dip-scan"
         assert report["seed"] == 5
         assert report["data"]["fit"]["converged"] is True
+        cfg = load_config(None, {"eta_signal": 0.2, "eta_idler": 0.2, "pairs_per_pulse": 0.05})
+        assert report["analytic"]["visibility_exact"] == exact_visibility(cfg)
         header = (out / "points.csv").read_text().splitlines()[0]
         assert header == "delay_ps,gates,singles_a,singles_b,coincidences"
 
@@ -301,7 +309,7 @@ class TestFitSubcommand:
         assert report["kind"] == "fit"
         assert report["data"]["fit"] is None
         assert report["data"]["fit_error"].startswith("need at least 4 points")
-        assert len(report["data"]["points"]) == 3
+        assert len(report["data"]["points"]["delay_ps"]) == 3
 
     def test_degenerate_fit_exits_no_convergence(self, tmp_path):
         # Four points within 0.3 ps: the fit converges onto a width pinned
@@ -423,18 +431,28 @@ class TestCar:
         assert "p_estimate: none (CAR 0.731707 is not above 1" in proc.stdout
         assert read_json(tmp_path / "run" / "report.json")["data"]["p_estimate"] is None
 
+    # Below the CAR peak (p = 5.0e-3 here), where darks make the accidentals.
+    FAINT = ("--eta", "0.1", "--dark-prob-a", "0.01", "--dark-prob-b", "0.01",
+             "--gates", "4e8", "--seed", "13")
+
     def test_dark_only_car_is_near_one(self, tmp_path):
         proc = run_cli(
-            "car",
-            "--pairs-per-pulse", "0",
-            "--eta", "0.1",
-            "--dark-prob-a", "0.01", "--dark-prob-b", "0.01",
-            "--gates", "4e8", "--seed", "13",
-            "--out", str(tmp_path / "run"),
+            "car", "--pairs-per-pulse", "0", *self.FAINT, "--out", str(tmp_path / "run"),
         )
         assert proc.returncode == 0
         report = read_json(tmp_path / "run" / "report.json")
         assert report["data"]["car"] == pytest.approx(1.0, abs=0.35)
+        # The singles pick the rising branch; the falling branch reads 14.6 here.
+        assert 0.0 < report["data"]["p_estimate"] < 1e-6
+
+    def test_faint_run_estimates_its_pair_rate_below_the_peak(self, tmp_path):
+        proc = run_cli(
+            "car", "--pairs-per-pulse", "1e-3", *self.FAINT, "--out", str(tmp_path / "run"),
+        )
+        assert proc.returncode == 0
+        report = read_json(tmp_path / "run" / "report.json")
+        # The singles pick the rising branch; the falling branch reads 0.0256 here.
+        assert report["data"]["p_estimate"] == pytest.approx(1e-3, rel=0.05)
 
 
 class TestVisibilitySweep:
@@ -454,6 +472,9 @@ class TestVisibilitySweep:
         for row in rows:
             assert row["fit"]["converged"] is True
             assert row["visibility_predicted"] is not None
+            cfg = load_config(None, {"eta_signal": 0.2, "eta_idler": 0.2,
+                                     "pairs_per_pulse": row["pairs_per_pulse"]})
+            assert row["visibility_exact"] == exact_visibility(cfg)
 
     def test_degenerate_row_leaves_its_errors_empty(self, tmp_path):
         # Four delays within 0.3 ps: the fit pins sigma against the grid
@@ -514,6 +535,8 @@ ENVELOPES = [
      4, {"car_offsets.csv"}, set()),
     ("fit", (*BOOST,), None, {"fit.csv"}, set()),
 ]
+# Points per points block of the subcommands that report a scan.
+SCAN_LENGTHS = {"dip-scan": [9], "visibility-sweep": [21, 21], "fit": [9]}
 
 
 @pytest.mark.parametrize(
@@ -539,5 +562,14 @@ def test_every_subcommand_writes_one_envelope(
     report = read_json(tmp_path / "json" / "report.json")
     assert set(report) == {"schema_version", "tool", "kind", "seed", "config",
                            "analytic", "data", "wall_seconds"}
+    assert report["schema_version"] == 2
     assert report["kind"] == command
     assert report["seed"] == seed
+    # Scan points as columns: one list per CSV column, one entry per delay.
+    data = report["data"]
+    blocks = [row["points"] for row in data.get("rows", [])]
+    blocks += [data["points"]] if "points" in data else []
+    assert [len(block["delay_ps"]) for block in blocks] == SCAN_LENGTHS.get(command, [])
+    for block in blocks:
+        assert set(block) == set(POINT_COLUMNS)
+        assert {len(column) for column in block.values()} == {len(block["delay_ps"])}

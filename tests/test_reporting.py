@@ -1,82 +1,19 @@
-"""Report JSON in json's indent-2 sorted form; CSV tables with one schema
-per table and empty cells for absent values."""
+"""Report JSON with columnar scan points; CSV tables with one schema per
+table and empty cells for absent values."""
 
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from hombench import ScanPoint, default_config
 from hombench import reporting
 
 
-def _dumps(obj):
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-# Strings built from the characters the encoder's bracket and separator
-# edits look for, so a string that mimics a break between dicts shows up.
-_TEXT = st.text(st.sampled_from(list('{}[],: "\\\nxé☃')), max_size=6) | st.sampled_from(
-    ["}", "},", "},\n  {", "},\n      {", '"', "é"]
-)
-_SCALARS = (
-    st.none() | st.booleans() | st.integers(-(2**80), 2**80)
-    | st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 1e300])
-    | _TEXT
-)
-_FLAT_DICTS = st.dictionaries(_TEXT, _SCALARS, max_size=4)
-_TREES = st.recursive(
-    _SCALARS | _FLAT_DICTS,
-    lambda children: (
-        st.lists(children, max_size=4)
-        | st.lists(children, max_size=3).map(tuple)
-        | st.dictionaries(_TEXT, children, max_size=4)
-        | st.lists(_FLAT_DICTS, max_size=4)
-    ),
-    max_leaves=30,
-)
-_KEYS = (
-    st.none() | st.booleans() | st.integers()
-    | st.floats(allow_nan=False, allow_infinity=False) | _TEXT
-)
-
-
-@settings(max_examples=300)
-@given(tree=_TREES)
-@example(tree={"rows": [{"points": [{"a": 1, "b": "},\n      {"}, {"a": -0.0}],
-                         "stats": [(87.5, 6.0), (1e300, 2**70)]}]})
-@example(tree=[{}, {"a": 1}])
-@example(tree={"a": [], "b": {}, "c": ()})
-def test_report_json_is_jsons_indent_2_sorted_form(tree):
-    assert reporting.report_json(tree) == _dumps(tree)
-
-
-@given(tree=st.recursive(
-    _SCALARS,
-    lambda children: (
-        st.dictionaries(_KEYS, children, max_size=3)
-        | st.lists(children, max_size=3)
-        | st.lists(st.dictionaries(_KEYS, _SCALARS, min_size=1, max_size=3), max_size=3)
-    ),
-    max_leaves=20,
-))
-def test_non_str_keys_match_json_or_are_refused(tree):
-    try:
-        expected = _dumps(tree)
-    except TypeError:
-        expected = None
-    try:
-        assert reporting.report_json(tree) == expected
-    except TypeError:
-        pass
-
-
 def _nested(value):
     """`value` as a bare scalar, in a flat list, and deep in a report."""
-    return [value, [1, value], {"data": {"points": [{"a": 1.0}], "v": value}},
+    return [value, [1, value], {"data": {"points": {"delay_ps": [1.0, value]}}},
             {"rows": [{"a": 1.0}, {"b": value}]}, {"x": [[value], {}]}]
 
 
@@ -95,7 +32,7 @@ def test_numpy_integers_are_refused():
 
 def _report(value):
     points = [ScanPoint(-1.5, 1000, 5, 20, 30), ScanPoint(0.25, 2000, 6, 21, 31)]
-    data = {"points": [reporting.point_to_dict(pt) for pt in points],
+    data = {"points": reporting.points_to_columns(points),
             "repeat_stats": [(5.5, 0.5), (6.0, 1.0)], "value": value}
     return reporting.build_report("dip-scan", default_config(), 5, data,
                                   {"visibility_budget": 0.8}, 0.25)
@@ -155,9 +92,9 @@ def test_points_round_trip_keeps_every_column(tmp_path, stats):
     path = tmp_path / "points.csv"
     path.write_text(reporting.points_csv(points, repeat_stats=stats))
     assert reporting.read_points_csv(path) == points
-    assert [reporting.point_to_dict(pt) for pt in points][0] == {
-        "delay_ps": -1.5, "gates": 1000, "coincidences": 5,
-        "singles_a": 20, "singles_b": 30,
+    assert reporting.points_to_columns(points) == {
+        "delay_ps": [-1.5, 0.25], "gates": [1000, 2000], "coincidences": [5, 6],
+        "singles_a": [20, 21], "singles_b": [30, 31],
     }
 
 

@@ -87,6 +87,13 @@ class TestGatePatternDistribution:
         pmf = gate_pattern_distribution(replace(default_cfg, delay_ps=60.0))
         assert pmf[3] == pytest.approx(3.320491224201305e-07, rel=1e-10)
 
+    @pytest.mark.parametrize("p, visibility", [
+        (0.005, 0.4705), (0.01, 0.5927), (0.03, 0.7002), (0.1, 0.6834),
+    ])
+    def test_exact_visibility_at_the_reference_efficiency(self, default_cfg, p, visibility):
+        cfg = replace(default_cfg, source=replace(default_cfg.source, mean_pairs_per_pulse=p))
+        assert exact.exact_visibility(cfg) == pytest.approx(visibility, abs=1e-4)
+
     def test_kappa_override_matches_far_delay(self, default_cfg):
         far = gate_pattern_distribution(replace(default_cfg, delay_ps=1e4))
         forced = gate_pattern_distribution(default_cfg, kappa=0.0)
@@ -353,7 +360,9 @@ class TestPmfCaches:
         delays = np.linspace(-12.0, 12.0, 401).tolist()
         run_visibility_sweep(symmetric_cfg(0.03, 0.2, 1e-4), [0.02, 0.05], 10_000,
                              seed=6, delays=delays, sampler=sampler)
-        assert len(calls) == 2
+        # Per row, one build for the scan's 401 overlaps and one for the
+        # exact visibility's two (kappa = 1 and 0).
+        assert sorted(np.size(kappa) for _, kappa in calls) == [2, 2, 401, 401]
 
 
 @given(t=st.floats(0.0, 1.0))
@@ -960,6 +969,7 @@ class TestRunVisibilitySweep:
             assert row.predicted_visibility == pytest.approx(
                 visibility_prediction(budget_from_config(swapped))
             )
+            assert row.exact_visibility == exact.exact_visibility(swapped)
             assert len(row.scan) == 21
 
     def test_fit_failure_stays_in_its_row(self, default_cfg):
