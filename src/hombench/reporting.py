@@ -4,8 +4,10 @@ A report is self-contained: it embeds the full config snapshot plus the
 seed, so re-running the tool with those reproduces the counts exactly.
 JSON is json's indent-2 sorted form, with scan points stored as columns;
 apart from `wall_seconds` the bytes are a pure function of config, seed,
-and code version. CSV output is locale-independent ('.' decimal separator,
-',' field separator) with one stable column schema for point data:
+and code version. A report is streamed into a temporary file that then
+replaces report.json, so no run leaves a half-written one. CSV output is
+locale-independent ('.' decimal separator, ',' field separator) with one
+stable column schema for point data:
 
     delay_ps,gates,singles_a,singles_b,coincidences[,mean,stddev]
 
@@ -33,6 +35,7 @@ TOOL_NAME = "hombench"
 
 POINT_COLUMNS = ("delay_ps", "gates", "singles_a", "singles_b", "coincidences")
 REPEAT_COLUMNS = POINT_COLUMNS + ("mean", "stddev")
+_JSON_FORMAT = {"indent": 2, "sort_keys": True, "allow_nan": False}  # both JSON writers
 
 
 def defined(value: float) -> float | None:
@@ -80,12 +83,21 @@ def build_report(
 
 
 def report_json(report: Mapping[str, Any]) -> str:
-    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return json.dumps(report, **_JSON_FORMAT) + "\n"
 
 
 def write_report(report: Mapping[str, Any], path: str | Path) -> None:
-    """Write `report_json(report)`; a report that fails to encode writes nothing."""
-    Path(path).write_text(report_json(report))
+    """Stream `report_json(report)` into a temporary file that then replaces `path`;
+    on any error it is deleted, so an earlier report stays and none is left partial."""
+    temp = Path(path).with_name(f".{Path(path).name}.tmp")
+    try:
+        with temp.open("w") as fh:
+            json.dump(report, fh, **_JSON_FORMAT)
+            fh.write("\n")
+        temp.replace(path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def _fmt(value: Any) -> str:

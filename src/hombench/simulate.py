@@ -9,11 +9,11 @@ exact distributions of `exact`.
 Determinism contract: every public run takes a seed, derives one child
 generator per (point, batch) through named SeedSequence spawn keys, and
 merges batch counts by commutative addition (a dip batch is 2^20 gates,
-a CAR block 2^13 short gaps between clicks; a dip scan hashes all its
-keys in one numpy pass, to the same generators; a per-gate scan deals
-its batches round-robin to workers, each adding into its own counts,
-summed once all have joined). Results are bit-for-bit stable under any
-worker count; HOMBENCH_THREADS changes speed only.
+a CAR block 2^13 short gaps between clicks; a dip scan hashes its keys
+in one numpy pass and builds each generator when its batch runs; a
+per-gate scan deals its batches round-robin to workers, each adding into
+its own counts, summed once all have joined). Results are bit-for-bit
+stable under any worker count; HOMBENCH_THREADS changes speed only.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class SweepRow:
 
 def thread_cap() -> int:
     """Worker count for batched runs: the CPUs this process may run on,
-    at most 32; HOMBENCH_THREADS overrides."""
+    or HOMBENCH_THREADS if set; at most 32 either way."""
     raw = os.environ.get("HOMBENCH_THREADS")
     if raw is None:
         has_affinity = hasattr(os, "sched_getaffinity")  # not on macOS or Windows
@@ -124,7 +124,7 @@ def thread_cap() -> int:
         raise ValueError(
             f"HOMBENCH_THREADS must be a positive integer (got {raw!r})"
         )
-    return cap
+    return min(32, cap)
 
 
 def _as_seedseq(seed: int | np.random.SeedSequence) -> np.random.SeedSequence:
@@ -153,11 +153,10 @@ class _Words:
         return self.words
 
 
-def _generators(base: np.random.SeedSequence, keys) -> list[np.random.Generator]:
-    """`_rng(_child(base, *key))` for each row of `keys`, in one numpy pass.
-
-    SeedSequence's own hash, over uint32 words held in uint64 arrays.
-    """
+def _seed_words(base: np.random.SeedSequence, keys) -> np.ndarray:
+    """Row r seeds `_rng(_Words(row))` as `_child(base, *keys[r])` would, all
+    in one numpy pass of SeedSequence's own hash, over uint32 words held in
+    uint64 arrays."""
     def hashmix(v: np.ndarray, init: int, mult: int, calls: int) -> np.ndarray:
         # Call number `calls` from `init`; h is a Python int, as a numpy one warns on overflow.
         h = init * pow(mult, calls, 1 << 32) & _M32
@@ -179,8 +178,12 @@ def _generators(base: np.random.SeedSequence, keys) -> list[np.random.Generator]
             pool[:, d] = mixed ^ mixed >> 16
     # generate_state(4, uint64): eight uint32 words cycling the pool, paired little-endian.
     state = [hashmix(pool[:, d % 4], _INIT_B, _MULT_B, d) for d in range(8)]
-    words = np.stack(state[::2], axis=1) | np.stack(state[1::2], axis=1) << 32
-    return [np.random.Generator(np.random.PCG64(_Words(w))) for w in words]
+    return np.stack(state[::2], axis=1) | np.stack(state[1::2], axis=1) << 32
+
+
+def _generators(base: np.random.SeedSequence, keys) -> map[np.random.Generator]:
+    """`_rng(_child(base, *key))` per row of `keys`, each built when reached."""
+    return map(_rng, map(_Words, _seed_words(base, keys)))
 
 
 def simulate_gate(
@@ -347,17 +350,17 @@ def run_dip_scan(
         keys = [(i, batch) for i in range(len(delays))
                 for batch in range(-(-gates_per_point // _DIP_BATCH))]
 
-        rngs = _generators(base, keys)
+        seeds = _seed_words(base, keys)
         n_workers = min(thread_cap(), len(keys))
         partial = np.zeros((n_workers, len(delays), 4), dtype=np.int64)
         errors: list[BaseException] = []
 
         def work(w: int) -> None:
             try:
-                for (i, batch), rng in zip(keys[w::n_workers], rngs[w::n_workers]):
+                for (i, batch), words in zip(keys[w::n_workers], seeds[w::n_workers]):
                     size = min(_DIP_BATCH, gates_per_point - batch * _DIP_BATCH)
                     partial[w, i] += _simulate_batch(
-                        rng, size, pair_count_pmf, cums[i], *darks)
+                        _rng(_Words(words)), size, pair_count_pmf, cums[i], *darks)
             except BaseException as exc:
                 errors.append(exc)
 

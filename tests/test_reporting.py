@@ -49,6 +49,25 @@ def test_unencodable_report_leaves_no_file(tmp_path):
     with pytest.raises(ValueError, match="not JSON compliant"):
         reporting.write_report(_report(math.nan), path)
     assert not path.exists()
+    assert list(tmp_path.iterdir()) == []  # nor a temporary file
+
+
+def test_numpy_integer_report_leaves_no_file(tmp_path):
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        reporting.write_report(_report(np.int64(3)), tmp_path / "report.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_keeps_the_earlier_report(tmp_path):
+    # The NaN sits after "config" and "data.points" in sorted order, so
+    # part of the report has been streamed when the encoder fails.
+    path = tmp_path / "report.json"
+    reporting.write_report(_report(1.0), path)
+    earlier = path.read_bytes()
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        reporting.write_report(_report(math.nan), path)
+    assert path.read_bytes() == earlier
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_sweep_row_without_a_fit_leaves_its_estimates_empty():

@@ -611,6 +611,23 @@ class TestRunDipScan:
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("sampler", ["multinomial", "per-gate"])
+    def test_memory_does_not_hold_a_generator_per_key(self, default_cfg, monkeypatch,
+                                                       sampler):
+        # 2,000 keys: a Generator apiece built up front peaks near 2 MiB;
+        # built as each point or batch runs, each worker holds one.
+        monkeypatch.setenv("HOMBENCH_THREADS", "2")
+        delays = np.linspace(-6.0, 6.0, 2000).tolist()
+        run_dip_scan(default_cfg, delays[:3], 1000, seed=1, sampler=sampler)  # warm
+        tracemalloc.start()
+        try:
+            points = run_dip_scan(default_cfg, delays, 1000, seed=1, sampler=sampler)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(points) == 2000
+        assert peak < 1.2 * 2**20
+
+    @pytest.mark.parametrize("sampler", ["multinomial", "per-gate"])
     def test_counts_track_exact_pmf(self, symmetric_cfg, sampler):
         cfg = symmetric_cfg(0.05, 0.2, 1e-4)
         gates = 400_000
@@ -1015,6 +1032,13 @@ class TestThreadCap:
         monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 64)
         assert thread_cap() == 1
+
+    def test_override_is_capped_like_the_default(self, monkeypatch):
+        # Only the count is read: no thread starts.
+        monkeypatch.setenv("HOMBENCH_THREADS", "100000")
+        before = threading.active_count()
+        assert thread_cap() == 32
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("bad", ["0", "-2", "many"])
     def test_invalid_values_raise(self, monkeypatch, bad):
