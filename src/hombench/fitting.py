@@ -6,8 +6,11 @@ Jacobian and its feasible box. The damping schedule is the classic one,
 fixed in module constants: multiply the damping by 10 when a step is
 rejected, divide by 10 when accepted, with the Marquardt diagonal scaling.
 Parameter uncertainties come from the inverse of the weighted
-normal-equations matrix at the optimum; the dip fit reports the one the
-optimizer computed, mapped from its internal log-sigma coordinate to sigma.
+normal-equations matrix at the optimum, taken by LU; the matrix counts as
+degenerate when LU fails or its Frobenius condition reaches 1 / (n eps),
+and only then is its pseudo-inverse taken. The dip fit reports the
+covariance the optimizer computed, mapped from its internal log-sigma
+coordinate to sigma.
 
 The dip fit estimates (baseline, visibility, sigma); the splitter's T and
 R are instrument constants measured separately and are never fitted. An
@@ -52,15 +55,22 @@ class LMResult:
 def _covariance_from_normal(a: np.ndarray) -> tuple[np.ndarray, bool]:
     """Invert the normal matrix, detecting rank deficiency.
 
-    np.linalg.inv happily returns garbage for numerically singular input,
-    so degeneracy is decided by the SVD rank, not by LinAlgError alone.
+    np.linalg.inv (LU) happily returns garbage for numerically singular
+    input, so the matrix is also degenerate when its Frobenius condition
+    |A|_F |A^-1|_F reaches 1 / (n eps). It bounds the 2-norm condition
+    from above, so every matrix the SVD rank test (sigma_min <= sigma_max
+    n eps) calls singular is flagged too. LU is the path the LM step has
+    already paged in; the SVD is left to the degenerate branch's pinv.
     """
-    if np.linalg.matrix_rank(a) < a.shape[0]:
-        return np.linalg.pinv(a), True
     try:
-        return np.linalg.inv(a), False
+        inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         return np.linalg.pinv(a), True
+    with np.errstate(all="ignore"):  # an inf or NaN condition fails the test below
+        cond = np.linalg.norm(a) * np.linalg.norm(inv) * a.shape[0] * np.finfo(float).eps
+    if cond < 1.0:
+        return inv, False
+    return np.linalg.pinv(a), True
 
 
 def levenberg_marquardt(

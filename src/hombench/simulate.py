@@ -347,8 +347,8 @@ def run_dip_scan(
         darks = (config.detector_a.dark_prob_per_gate,
                  config.detector_b.dark_prob_per_gate)
         cums = np.cumsum(_pair_pattern_probs(config, kappas), axis=1)
-        keys = [(i, batch) for i in range(len(delays))
-                for batch in range(-(-gates_per_point // _DIP_BATCH))]
+        n_batches = -(-gates_per_point // _DIP_BATCH)
+        keys = np.column_stack(np.divmod(np.arange(len(delays) * n_batches), n_batches))
 
         seeds = _seed_words(base, keys)
         n_workers = min(thread_cap(), len(keys))

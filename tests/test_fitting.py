@@ -16,6 +16,7 @@ from hombench import (
     run_dip_scan,
     splitter_dip_factor,
 )
+from hombench import exact, fitting
 from hombench.analytics import dip_curve as _dip_curve
 from hombench.fitting import _dip_jacobian_external, levenberg_marquardt
 
@@ -473,3 +474,70 @@ class TestCovarianceOracle:
             )
             checked += 1
         assert checked >= 35
+
+
+class TestDegeneracyWithoutSVD:
+    """The covariance is an LU inverse, and the normal matrix is degenerate
+    when LU fails or its Frobenius condition reaches 1 / (n eps); the SVD
+    rank (sigma_min <= sigma_max n eps) is the reference."""
+
+    def test_flag_agrees_with_svd_rank_over_fit_normal_matrices(self, monkeypatch):
+        seen = []
+        covariance_from_normal = fitting._covariance_from_normal
+
+        def spy(a):
+            covariance, degenerate = covariance_from_normal(a)
+            seen.append((a.copy(), degenerate))
+            return covariance, degenerate
+
+        monkeypatch.setattr(fitting, "_covariance_from_normal", spy)
+        rng = np.random.default_rng(2025)
+        factor = splitter_dip_factor(REFERENCE_SPLITTER)
+        while len(seen) < 900:
+            n = int(rng.integers(4, 42))
+            span = rng.uniform(0.3, 12.0)
+            delays = (np.linspace(-0.5 * span, 0.5 * span, n) if rng.integers(2)
+                      else np.linspace(0.0, span, n))
+            baseline = math.exp(rng.uniform(math.log(0.1), math.log(5e4)))
+            counts = _dip_curve(delays, baseline, rng.uniform(0.0, 1.0),
+                                rng.uniform(0.5, 3.0), factor, 0.0)
+            if rng.integers(2):
+                counts = rng.poisson(counts).astype(float)
+            fit_center = bool(rng.integers(2)) and n >= 5
+            try:
+                fit_dip(make_points(counts, delays), REFERENCE_SPLITTER,
+                        fit_center=fit_center)
+            except ValueError:  # no baseline leverage: LM never ran
+                pass
+        near = 0
+        for a, degenerate in seen:
+            assert degenerate == (np.linalg.matrix_rank(a) < a.shape[0])
+            s = np.linalg.svd(a, compute_uv=False)
+            near += 1e-2 < s[-1] / (s[0] * a.shape[0] * np.finfo(float).eps) < 1e2
+        flagged = sum(degenerate for _, degenerate in seen)
+        assert 50 <= flagged <= len(seen) - 500
+        assert near >= 20  # matrices within 100x of the threshold
+
+    @pytest.fixture
+    def no_svd(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("SVD reached")
+
+        for name in ("svd", "matrix_rank", "pinv"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+
+    def test_regular_fit_and_cold_scan_take_no_svd(self, no_svd):
+        fit = fit_dip(make_points(dip_counts(1000.0, 0.8, 1.7)), REFERENCE_SPLITTER)
+        assert not fit.degenerate and np.isfinite(fit.std_errors).all()
+        exact._pair_click_dist.cache_clear()  # so the scan runs the Fock oracle
+        points = run_dip_scan(load_config(None), DELAYS_21.tolist(), 10**9, seed=3)
+        assert exact._pair_click_dist.cache_info().currsize > 0
+        fit = fit_dip(points, REFERENCE_SPLITTER)
+        assert not fit.degenerate and np.isfinite(fit.std_errors).all()
+
+    def test_degenerate_fit_still_takes_the_pseudo_inverse(self, no_svd):
+        points = make_points(
+            np.array([5.0, 50.0, 50.0, 50.0]), np.array([0.0, 0.1, 0.2, 0.3])
+        )
+        with pytest.raises(AssertionError, match="SVD reached"):
+            fit_dip(points, REFERENCE_SPLITTER)

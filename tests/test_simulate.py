@@ -627,6 +627,25 @@ class TestRunDipScan:
         assert len(points) == 2000
         assert peak < 1.2 * 2**20
 
+    def test_per_gate_keys_are_one_array(self, default_cfg, monkeypatch):
+        # 21 points x 477 batches = 10,017 keys with the batches stubbed out:
+        # a (point, batch) tuple per key peaks near 2.8 MiB, one array of
+        # keys near 2.3 MiB (the rest is the hashed seed words).
+        monkeypatch.setenv("HOMBENCH_THREADS", "2")
+        monkeypatch.setattr(simulate, "_simulate_batch",
+                            lambda rng, n_gates, *args: np.zeros(4, dtype=np.int64))
+        delays = np.linspace(-6.0, 6.0, 21).tolist()
+        gates = 477 * simulate._DIP_BATCH
+        run_dip_scan(default_cfg, delays[:2], gates, seed=1, sampler="per-gate")  # warm
+        tracemalloc.start()
+        try:
+            points = run_dip_scan(default_cfg, delays, gates, seed=1, sampler="per-gate")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [pt.coincidences for pt in points] == [0] * 21
+        assert peak < 2.5 * 2**20
+
     @pytest.mark.parametrize("sampler", ["multinomial", "per-gate"])
     def test_counts_track_exact_pmf(self, symmetric_cfg, sampler):
         cfg = symmetric_cfg(0.05, 0.2, 1e-4)
