@@ -6,11 +6,11 @@ Jacobian and its feasible box. The damping schedule is the classic one,
 fixed in module constants: multiply the damping by 10 when a step is
 rejected, divide by 10 when accepted, with the Marquardt diagonal scaling.
 Parameter uncertainties come from the inverse of the weighted
-normal-equations matrix at the optimum, taken by LU; the matrix counts as
-degenerate when LU fails or its Frobenius condition reaches 1 / (n eps),
-and only then is its pseudo-inverse taken. The dip fit reports the
-covariance the optimizer computed, mapped from its internal log-sigma
-coordinate to sigma.
+normal-equations matrix at the optimum. Steps and inverse come from Python
+elimination (`_solve`), sums from einsum: only a degenerate matrix (a zero
+pivot, or a Frobenius condition of 1 / (n eps)) calls LAPACK, for pinv.
+The dip fit reports the covariance the optimizer computed, mapped from its
+internal log-sigma coordinate to sigma.
 
 The dip fit estimates (baseline, visibility, sigma); the splitter's T and
 R are instrument constants measured separately and are never fitted. An
@@ -52,25 +52,42 @@ class LMResult:
     message: str
 
 
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a x = b (n <= 4; b a vector or a matrix), by Gaussian elimination
+    with partial pivoting on Python floats, so that no fit calls BLAS or LAPACK.
+    As LAPACK's gesv, it raises LinAlgError only on an exactly zero pivot."""
+    n = len(a)
+    m = [row + rhs for row, rhs in zip(a.tolist(), np.reshape(b, (n, -1)).tolist())]
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(m[i][k]))
+        if m[p][k] == 0.0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        m[k], m[p] = m[p], m[k]
+        for row in m[k + 1:]:
+            f = row[k] / m[k][k]
+            row[k:] = [x - f * y for x, y in zip(row[k:], m[k][k:])]
+    for k in reversed(range(n)):  # back substitution, column by column
+        m[k][n:] = [x / m[k][k] for x in m[k][n:]]
+        for row in m[:k]:
+            row[n:] = [x - row[k] * y for x, y in zip(row[n:], m[k][n:])]
+    return np.array([row[n:] for row in m]).reshape(np.shape(b))
+
+
 def _covariance_from_normal(a: np.ndarray) -> tuple[np.ndarray, bool]:
     """Invert the normal matrix, detecting rank deficiency.
 
-    np.linalg.inv (LU) happily returns garbage for numerically singular
-    input, so the matrix is also degenerate when its Frobenius condition
-    |A|_F |A^-1|_F reaches 1 / (n eps). It bounds the 2-norm condition
-    from above, so every matrix the SVD rank test (sigma_min <= sigma_max
-    n eps) calls singular is flagged too. LU is the path the LM step has
-    already paged in; the SVD is left to the degenerate branch's pinv.
+    It is degenerate when elimination meets a zero pivot, or when its
+    Frobenius condition |A|_F |A^-1|_F reaches 1 / (n eps). That bounds the
+    2-norm condition, so every matrix the SVD rank test (sigma_min <=
+    sigma_max n eps) calls singular is flagged; only those take LAPACK's pinv.
     """
     try:
-        inv = np.linalg.inv(a)
+        inv = _solve(a, np.eye(len(a)))
     except np.linalg.LinAlgError:
         return np.linalg.pinv(a), True
-    with np.errstate(all="ignore"):  # an inf or NaN condition fails the test below
-        cond = np.linalg.norm(a) * np.linalg.norm(inv) * a.shape[0] * np.finfo(float).eps
-    if cond < 1.0:
-        return inv, False
-    return np.linalg.pinv(a), True
+    # hypot neither overflows nor raises; an inf or NaN condition fails the test.
+    cond = math.hypot(*a.flat) * math.hypot(*inv.flat) * len(a) * np.finfo(float).eps
+    return (inv, False) if cond < 1.0 else (np.linalg.pinv(a), True)
 
 
 def levenberg_marquardt(
@@ -105,7 +122,7 @@ def levenberg_marquardt(
     if not np.all(np.isfinite(f)):
         raise ValueError("model returned non-finite values at the starting point")
     r = y - f
-    cost = float(w @ (r * r))
+    cost = float(np.einsum("i,i,i->", w, r, r))
 
     lam = _INITIAL_DAMPING
     converged = False
@@ -114,8 +131,8 @@ def levenberg_marquardt(
 
     for iterations in range(1, max_iterations + 1):
         J = jacobian(x, theta)
-        A = J.T @ (w[:, None] * J)
-        g = J.T @ (w * r)
+        A = np.einsum("ki,k,kj->ij", J, w, J)
+        g = np.einsum("ki,k,k->i", J, w, r)
         diag = np.diag(A).copy()
         floor = diag[diag > 0.0].min() if np.any(diag > 0.0) else 1.0
         diag[diag <= 0.0] = floor
@@ -123,7 +140,7 @@ def levenberg_marquardt(
         accepted = False
         for _ in range(_MAX_REJECTS_PER_STEP):
             try:
-                step = np.linalg.solve(A + lam * np.diag(diag), g)
+                step = _solve(A + lam * np.diag(diag), g)
             except np.linalg.LinAlgError:
                 lam *= _DAMPING_FACTOR
                 continue
@@ -133,7 +150,7 @@ def levenberg_marquardt(
                 lam *= _DAMPING_FACTOR
                 continue
             r_c = y - f_c
-            cost_c = float(w @ (r_c * r_c))
+            cost_c = float(np.einsum("i,i,i->", w, r_c, r_c))
             if cost_c <= cost:
                 accepted = True
                 break
@@ -142,7 +159,7 @@ def levenberg_marquardt(
             message = "damping schedule exhausted without an acceptable step"
             break
 
-        moved = float(np.linalg.norm(cand - theta))
+        moved = math.hypot(*(cand - theta))
         rel_drop = (cost - cost_c) / cost if cost > 0.0 else 0.0
         theta, r, cost = cand, r_c, cost_c
         lam = max(lam / _DAMPING_FACTOR, 1e-300)
@@ -150,14 +167,13 @@ def levenberg_marquardt(
             converged = True
             message = "relative cost decrease below tolerance"
             break
-        if moved < _STEP_RTOL * (1.0 + float(np.linalg.norm(theta))):
+        if moved < _STEP_RTOL * (1.0 + math.hypot(*theta)):
             converged = True
             message = "step size below tolerance"
             break
 
     J = jacobian(x, theta)
-    A = J.T @ (w[:, None] * J)
-    covariance, degenerate = _covariance_from_normal(A)
+    covariance, degenerate = _covariance_from_normal(np.einsum("ki,k,kj->ij", J, w, J))
     if degenerate:
         message += "; singular normal matrix, covariance is a pseudo-inverse"
     return LMResult(

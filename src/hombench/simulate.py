@@ -61,6 +61,7 @@ _CAR_SHORT_GAPS = 1 << 13
 # SeedSequence's hash constants (NEP 19; O'Neill 2014, HMC-CS-2014-0905).
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _M32 = 0xFFFFFFFF
+_SEED_CHUNK = 1024  # keys `_seed_words` hashes per pass, which bounds its temporaries
 
 
 class InsufficientStatisticsError(RuntimeError):
@@ -154,9 +155,9 @@ class _Words:
 
 
 def _seed_words(base: np.random.SeedSequence, keys) -> np.ndarray:
-    """Row r seeds `_rng(_Words(row))` as `_child(base, *keys[r])` would, all
-    in one numpy pass of SeedSequence's own hash, over uint32 words held in
-    uint64 arrays."""
+    """Row r seeds `_rng(_Words(row))` as `_child(base, *keys[r])` would, in
+    numpy passes of SeedSequence's own hash over `_SEED_CHUNK` keys each,
+    with uint32 words held in uint64 arrays."""
     def hashmix(v: np.ndarray, init: int, mult: int, calls: int) -> np.ndarray:
         # Call number `calls` from `init`; h is a Python int, as a numpy one warns on overflow.
         h = init * pow(mult, calls, 1 << 32) & _M32
@@ -165,20 +166,24 @@ def _seed_words(base: np.random.SeedSequence, keys) -> np.ndarray:
 
     from numpy.random import bit_generator as bg  # not at import: it costs set-up
     bg.ISeedSequence.register(_Words)
-    keys = np.asarray(keys, dtype=np.uint64).reshape(len(keys), -1)
-    assert (keys <= _M32).all(), "each key element must be one uint32 word"
+    keys = np.asarray(keys).reshape(len(keys), -1)
     # base.pool took four hash calls per word of its padded entropy.
     n_words = (max(4, bg._coerce_to_uint32_array(base.entropy).size)
                + bg._coerce_to_uint32_array(base.spawn_key).size)
-    pool = np.tile(base.pool.astype(np.uint64), (len(keys), 1))
-    for c, word in enumerate(keys.T, start=n_words):
-        for d in range(4):
-            v = hashmix(word, _INIT_A, _MULT_A, 4 * c + d)
-            mixed = (0xCA01F9DD * pool[:, d] - 0x4973F715 * v) & _M32
-            pool[:, d] = mixed ^ mixed >> 16
-    # generate_state(4, uint64): eight uint32 words cycling the pool, paired little-endian.
-    state = [hashmix(pool[:, d % 4], _INIT_B, _MULT_B, d) for d in range(8)]
-    return np.stack(state[::2], axis=1) | np.stack(state[1::2], axis=1) << 32
+    out = np.empty((len(keys), 4), dtype=np.uint64)
+    for lo in range(0, len(keys), _SEED_CHUNK):
+        chunk = keys[lo:lo + _SEED_CHUNK].astype(np.uint64)
+        assert (chunk <= _M32).all(), "each key element must be one uint32 word"
+        pool = np.tile(base.pool.astype(np.uint64), (len(chunk), 1))
+        for c, word in enumerate(chunk.T, start=n_words):
+            for d in range(4):
+                v = hashmix(word, _INIT_A, _MULT_A, 4 * c + d)
+                mixed = (0xCA01F9DD * pool[:, d] - 0x4973F715 * v) & _M32
+                pool[:, d] = mixed ^ mixed >> 16
+        # generate_state(4, uint64): eight uint32 words cycling the pool, paired little-endian.
+        state = [hashmix(pool[:, d % 4], _INIT_B, _MULT_B, d) for d in range(8)]
+        out[lo:lo + _SEED_CHUNK] = np.stack(state[::2], 1) | np.stack(state[1::2], 1) << 32
+    return out
 
 
 def _generators(base: np.random.SeedSequence, keys) -> map[np.random.Generator]:

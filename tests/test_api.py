@@ -219,3 +219,39 @@ def test_per_gate_scan_imports_neither_thread_pool_nor_logging():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "HOMBENCH_THREADS": "2"})
     assert out.stdout.strip() == "[]"
+
+
+def test_fitted_runs_page_in_no_openblas(tmp_path):
+    # A fit solves for 3 or 4 unknowns by elimination in Python: only a
+    # degenerate fit's pseudo-inverse may call BLAS or LAPACK.
+    if not Path("/proc/self/smaps").exists():
+        pytest.skip("no /proc/self/smaps")
+    code = (
+        "import json\n"
+        "from hombench import cli\n"
+        "def rss():\n"
+        "    total, blas = 0, False\n"
+        "    for line in open('/proc/self/smaps'):\n"
+        "        field = line.split()\n"
+        "        if not field[0].endswith(':'):  # a mapping's header line\n"
+        "            blas = 'openblas' in line\n"
+        "        elif blas and field[0] == 'Rss:':\n"
+        "            total += int(field[1])\n"
+        "    return total\n"
+        f"a, b = {str(tmp_path / 'a')!r}, {str(tmp_path / 'b')!r}\n"
+        "before = rss()\n"
+        "codes = [cli.main(['dip-scan', '--eta', '0.2', '--gates', '2e5', '--out', a]),\n"
+        "         cli.main(['visibility-sweep', '--pairs', '0.03,0.1', '--gates', '1e9',\n"
+        "                   '--out', b])]\n"
+        "print(json.dumps([before, rss(), codes]))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    before, after, codes = json.loads(out.stdout.splitlines()[-1])
+    if before == 0:
+        pytest.skip("numpy maps no OpenBLAS library here")
+    assert codes == [0, 0]
+    assert json.loads((tmp_path / "a" / "report.json").read_text())["data"]["fit"]
+    rows = json.loads((tmp_path / "b" / "report.json").read_text())["data"]["rows"]
+    assert all(row["fit"] for row in rows)
+    assert after == before

@@ -18,7 +18,7 @@ from hombench import (
 )
 from hombench import exact, fitting
 from hombench.analytics import dip_curve as _dip_curve
-from hombench.fitting import _dip_jacobian_external, levenberg_marquardt
+from hombench.fitting import _dip_jacobian_external, _solve, levenberg_marquardt
 
 REFERENCE_SPLITTER = BeamSplitter.from_db(-3.3, -3.6)
 DELAYS_21 = np.linspace(-6.0, 6.0, 21)
@@ -185,6 +185,46 @@ class TestLevenbergMarquardt:
         np.testing.assert_allclose(fd, analytic, rtol=1e-7, atol=1e-10)
 
 
+class TestSolve:
+    """The fit's elimination against LAPACK, on systems of the fit's sizes."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_lapack_up_to_the_condition_number(self, n):
+        rng = np.random.default_rng(100 + n)
+        eps = np.finfo(float).eps
+        for log_cond in np.linspace(0.0, 12.0, 25):
+            for _ in range(8):
+                q1, q2 = (np.linalg.qr(rng.normal(size=(n, n)))[0] for _ in range(2))
+                singular = np.logspace(0.0, -log_cond, n) * 10 ** rng.uniform(-3, 3)
+                a = (q1 * singular) @ q2.T
+                # Both solutions sit within about cond * eps of the exact one.
+                tol = 10 * n * np.linalg.cond(a) * eps
+                v, m = rng.normal(size=n), rng.normal(size=(n, 3))
+                for b, reference in [(v, np.linalg.solve(a, v)),
+                                     (m, np.linalg.solve(a, m)),
+                                     (np.eye(n), np.linalg.inv(a))]:
+                    got = _solve(a, b)
+                    assert got.shape == reference.shape
+                    err = np.linalg.norm(got - reference) / np.linalg.norm(reference)
+                    assert err <= tol, (log_cond, err / tol)
+
+    def test_exactly_singular_matrix_raises(self):
+        a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(a, np.ones(3))
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve(a, np.ones(3))
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve(np.zeros((1, 1)), np.eye(1))
+
+    def test_nan_entry_propagates(self):
+        a = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
+        a[1, 2] = np.nan
+        assert np.isnan(np.linalg.solve(a, np.ones(3))).any()
+        assert np.isnan(_solve(a, np.ones(3))).any()
+        assert np.isnan(_solve(a, np.eye(3))).any()
+
+
 class TestFitDip:
     def test_noiseless_round_trip(self):
         counts = dip_counts(1000.0, 0.8, 1.7)
@@ -343,33 +383,33 @@ FROZEN_FITS = [
     # case, fit_center, (baseline, visibility, sigma_ps, center_ps),
     # chi_squared, iterations, std_errors
     ("bright", False,
-     (40.723517073860585, 0.9312142264953314, 1.4961830828904428, None),
-     18.27458791912665, 5,
+     (40.723517073860585, 0.9312142264953314, 1.496183082890443, None),
+     18.274587919126645, 5,
      (2.211783912868075, 0.03193041168700547, 0.15342371100307875)),
     ("bright", True,
-     (40.7426440421044, 0.9333270073546949, 1.4816106565478904,
-      0.14749152222025302),
-     16.211779899287578, 6,
+     (40.7426440421044, 0.9333270073546949, 1.4816106565478906,
+      0.147491522220253),
+     16.21177989928758, 6,
      (2.1946385765373795, 0.0320914854308256, 0.1515469878972949,
       0.10207396299353053)),
     ("sparse", False,
-     (6.33202498929985, 0.878604226250692, 2.352096467583604, None),
-     18.129780568301907, 5,
+     (6.33202498929985, 0.878604226250692, 2.3520964675836034, None),
+     18.12978056830191, 5,
      (1.6197265549011974, 0.09133154535487169, 0.8524409723562758)),
     ("sparse", True,
-     (6.205321074702965, 0.9087211935153492, 2.1530835323674555,
-      -0.42899312663584843),
-     16.68587415728487, 10,
+     (6.205321074702965, 0.9087211935153492, 2.153083532367456,
+      -0.4289931266358486),
+     16.685874157284875, 10,
      (1.303564430760161, 0.10396016736808572, 0.6916129591793564,
       0.33533617274447636)),
     ("reference_p", False,
-     (124.95950688699114, 0.8325453053104788, 1.6382962853902017, None),
-     17.122991508661954, 6,
+     (124.95950688699112, 0.8325453053104788, 1.6382962853902014, None),
+     17.122991508661965, 6,
      (4.196085897021762, 0.025007665306514288, 0.11683315991381353)),
     ("reference_p", True,
      (125.2585885499418, 0.8332416654445587, 1.6427842808979423,
       -0.10881604697167985),
-     15.083392675901909, 6,
+     15.08339267590191, 6,
      (4.214186667261983, 0.02495457888211898, 0.11715885432327146,
       0.07605647647712911)),
 ]

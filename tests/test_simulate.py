@@ -489,6 +489,18 @@ class TestGenerators:
             assert rng.bit_generator.state == ref.bit_generator.state, key
             assert rng.random(3).tobytes() == ref.random(3).tobytes(), key
 
+    def test_words_do_not_depend_on_the_chunk_size(self, monkeypatch):
+        base = np.random.SeedSequence(11, spawn_key=(4,))
+        keys = np.column_stack(np.divmod(np.arange(30), 6))
+        whole = simulate._seed_words(base, keys)
+        monkeypatch.setattr(simulate, "_SEED_CHUNK", 7)  # four full chunks and a short one
+        chunked = simulate._seed_words(base, keys)
+        assert chunked.tobytes() == whole.tobytes()
+        for key, words in zip(keys.tolist(), chunked):
+            ref = simulate._rng(simulate._child(base, *key))
+            assert simulate._rng(simulate._Words(words)).bit_generator.state == (
+                ref.bit_generator.state), key
+
     def test_key_elements_are_single_words(self):
         with pytest.raises(AssertionError, match="uint32"):
             simulate._generators(np.random.SeedSequence(0), [(1, 2**32)])
@@ -645,6 +657,25 @@ class TestRunDipScan:
             tracemalloc.stop()
         assert [pt.coincidences for pt in points] == [0] * 21
         assert peak < 2.5 * 2**20
+
+    def test_seed_words_hash_in_bounded_chunks(self, default_cfg, monkeypatch):
+        # 21 points x 954 batches = 20,034 keys with the batches stubbed out.
+        # Hashing every key at once held about 240 B of temporaries per key
+        # (a 4.6 MiB peak); in chunks, the peak is the keys, the (keys, 4)
+        # seed words and one chunk's temporaries.
+        monkeypatch.setenv("HOMBENCH_THREADS", "2")
+        monkeypatch.setattr(simulate, "_simulate_batch",
+                            lambda rng, n_gates, *args: np.zeros(4, dtype=np.int64))
+        delays = np.linspace(-6.0, 6.0, 21).tolist()
+        gates = 954 * simulate._DIP_BATCH
+        run_dip_scan(default_cfg, delays[:2], gates, seed=1, sampler="per-gate")  # warm
+        tracemalloc.start()
+        try:
+            run_dip_scan(default_cfg, delays, gates, seed=1, sampler="per-gate")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
     @pytest.mark.parametrize("sampler", ["multinomial", "per-gate"])
     def test_counts_track_exact_pmf(self, symmetric_cfg, sampler):
