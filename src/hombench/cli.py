@@ -562,7 +562,3 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-
-
-if __name__ == "__main__":
-    sys.exit(main())

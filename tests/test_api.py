@@ -191,15 +191,18 @@ def test_layers_probe_can_clear_the_pmf_cache():
 
 def test_import_and_config_load_leave_sampler_modules_unloaded(tmp_path):
     # A fresh interpreter that imports hombench and loads a config (what the
-    # benchmark times as set-up) loads neither: numpy.random waits for a
-    # sampler, and nothing imports concurrent.futures.
+    # benchmark times as set-up) loads none of these: numpy.random waits for a
+    # sampler, and nothing imports concurrent.futures. Nor hashlib: `python -m
+    # hombench` imports the package before `__main__` blocks `_hashlib`, so a
+    # package-level hashlib import would map libcrypto before the guard.
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"pairs_per_pulse": 0.05}))
     code = (
         "import sys, hombench\n"
         "from hombench.configio import load_config\n"
         f"load_config({str(path)!r})\n"
-        "print(sorted({'numpy.random', 'concurrent.futures'} & set(sys.modules)))\n"
+        "print(sorted({'numpy.random', 'concurrent.futures', 'hashlib', '_hashlib'}\n"
+        "             & set(sys.modules)))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
@@ -255,3 +258,38 @@ def test_fitted_runs_page_in_no_openblas(tmp_path):
     rows = json.loads((tmp_path / "b" / "report.json").read_text())["data"]["rows"]
     assert all(row["fit"] for row in rows)
     assert after == before
+
+
+def test_cli_process_maps_no_libcrypto(tmp_path):
+    # numpy.random imports secrets -> hmac -> _hashlib, which maps OpenSSL's
+    # libcrypto; the process entry point blocks `_hashlib`, so hashlib and
+    # hmac run on CPython's built-ins.
+    code = (
+        "import json, os, runpy, sys\n"
+        "sys.argv = ['hombench', 'dip-scan', '--sampler', 'multinomial',\n"
+        f"            '--gates', '2e5', '--out', {str(tmp_path)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('hombench', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "maps = None\n"
+        "if os.path.exists('/proc/self/maps'):\n"
+        "    maps = [line for line in open('/proc/self/maps') if 'libcrypto' in line]\n"
+        "print(json.dumps([code, 'numpy.random' in sys.modules,\n"
+        "                  sys.modules.get('_hashlib', 'absent') is None, maps]))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    code, sampled, blocked, maps = json.loads(out.stdout.splitlines()[-1])
+    assert code in (0, 3)
+    assert sampled and blocked
+    assert maps in (None, [])
+
+
+def test_importing_the_entry_point_runs_nothing():
+    # The console script imports `hombench.__main__` and calls its `main`.
+    code = ("import hombench.__main__ as entry, hombench.cli as cli\n"
+            "print(entry.main is cli.main)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=False)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "True\n", "")
