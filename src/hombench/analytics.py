@@ -111,8 +111,8 @@ def dip_curve(
 
     `factor` is `splitter_dip_factor` of the splitter, 2TR / (T^2 + R^2).
     The minimum sits at the center; the curve rises to the baseline as the
-    two wavepackets stop overlapping. The fitter evaluates this on every
-    trial step.
+    two wavepackets stop overlapping. `fitting.fit_dip` fits this curve,
+    written as (B - C) - C expm1(...) with C = B f V; tests compare with it.
     """
     d = (delays - center) / sigma
     return baseline * (1.0 - factor * visibility * np.exp(-0.5 * d * d))

@@ -11,7 +11,8 @@ Exit codes: 0 success, 1 validation error (bad flags, bad config, an
 infeasible calibration target), 2 runtime or statistics error (I/O,
 insufficient counts), 3 when a fitting subcommand (dip-scan,
 visibility-sweep, fit) has a fit that failed its preconditions (too few
-points, no baseline leverage), did not converge, or is degenerate.
+points, no coincidences, no baseline leverage), did not converge, or is
+degenerate.
 """
 
 from __future__ import annotations

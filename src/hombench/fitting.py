@@ -1,16 +1,19 @@
-"""Weighted nonlinear least squares for the coincidence-dip lineshape.
+"""Weighted least squares for the coincidence-dip lineshape.
 
-A from-scratch Levenberg-Marquardt core (`levenberg_marquardt`) drives the
-dip fit (`fit_dip`), which always hands it the lineshape's analytic
-Jacobian and its feasible box. The damping schedule is the classic one,
-fixed in module constants: multiply the damping by 10 when a step is
-rejected, divide by 10 when accepted, with the Marquardt diagonal scaling.
+At a fixed width sigma and center, the lineshape B - C e(delay), with
+e = exp(-(delay - center)^2 / (2 sigma^2)) and C = B f V, is linear in the
+baseline B and the depth C. So `fit_dip` solves for them in closed form
+inside the box (B >= 0, 0 <= V <= 1.02) and searches the width alone: a log
+grid over its box, then Brent's method between the grid minimum's
+neighbours. This is variable projection (Golub & Pereyra, SIAM J. Numer.
+Anal. 10, 413 (1973)). A fitted center adds an outer search of the same
+kind over the scan's delay range, each of its trials a width search.
+
 Parameter uncertainties come from the inverse of the weighted
-normal-equations matrix at the optimum. Steps and inverse come from Python
-elimination (`_solve`), sums from einsum: only a degenerate matrix (a zero
-pivot, or a Frobenius condition of 1 / (n eps)) calls LAPACK, for pinv.
-The dip fit reports the covariance the optimizer computed, mapped from its
-internal log-sigma coordinate to sigma.
+normal-equations matrix at the optimum, in (baseline, visibility, sigma
+[, center]). The inverse comes from Python elimination (`_solve`), sums
+from einsum: only a degenerate matrix (a zero pivot, or a Frobenius
+condition of 1 / (n eps)) calls LAPACK, for pinv.
 
 The dip fit estimates (baseline, visibility, sigma); the splitter's T and
 R are instrument constants measured separately and are never fitted. An
@@ -25,31 +28,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analytics import DipModelParams, dip_curve, splitter_dip_factor
+from .analytics import DipModelParams, splitter_dip_factor
 from .model import BeamSplitter, ScanPoint
 
 
-# Levenberg-Marquardt schedule. Convergence is declared when an accepted
-# step reduces the cost by less than _COST_RTOL of its value, or moves the
-# parameters by less than _STEP_RTOL (relative to their norm).
-_COST_RTOL = 1e-10
-_STEP_RTOL = 1e-12
-_INITIAL_DAMPING = 1e-3
-_DAMPING_FACTOR = 10.0
-_MAX_REJECTS_PER_STEP = 50
-
-
-@dataclass
-class LMResult:
-    """Raw optimizer output in whatever parameterization it was run in."""
-
-    theta: np.ndarray
-    covariance: np.ndarray
-    cost: float
-    iterations: int
-    converged: bool
-    degenerate: bool
-    message: str
+# Each search evaluates a grid, then refines between the grid minimum's
+# neighbours by Brent's method until its bracket is a few _REFINE_RTOL grid
+# steps wide, in at most _MAX_REFINE steps. The width grid has three points
+# a decade over its box; the center grid spaces a tenth of the delay range.
+_CENTER_GRID = 11
+_REFINE_RTOL = 1e-8
+_MAX_REFINE = 100
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -90,101 +80,53 @@ def _covariance_from_normal(a: np.ndarray) -> tuple[np.ndarray, bool]:
     return (inv, False) if cond < 1.0 else (np.linalg.pinv(a), True)
 
 
-def levenberg_marquardt(
-    model: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    x: np.ndarray,
-    y: np.ndarray,
-    weights: np.ndarray,
-    theta0: Sequence[float],
-    jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    project: Callable[[np.ndarray], np.ndarray],
-    max_iterations: int = 200,
-) -> LMResult:
-    """Minimize sum(w * (y - model(x, theta))^2) over theta.
-
-    `jacobian` returns the (n_points, n_params) matrix of model partials.
-    `project` clamps a parameter vector into its feasible box: the start
-    and every trial step; the reported step size is the post-projection one.
-
-    Non-finite model output at the starting point aborts with ValueError.
-    A trial step that produces non-finite output is treated as rejected,
-    so the damping schedule walks the step length down until the model is
-    evaluable again.
-    """
-    x = np.asarray(x)
-    y = np.asarray(y, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite and > 0")
-    theta = project(np.asarray(theta0, dtype=float))
-
-    f = np.asarray(model(x, theta), dtype=float)
-    if not np.all(np.isfinite(f)):
-        raise ValueError("model returned non-finite values at the starting point")
-    r = y - f
-    cost = float(np.einsum("i,i,i->", w, r, r))
-
-    lam = _INITIAL_DAMPING
-    converged = False
-    message = "maximum iterations reached"
-    iterations = 0
-
-    for iterations in range(1, max_iterations + 1):
-        J = jacobian(x, theta)
-        A = np.einsum("ki,k,kj->ij", J, w, J)
-        g = np.einsum("ki,k,k->i", J, w, r)
-        diag = np.diag(A).copy()
-        floor = diag[diag > 0.0].min() if np.any(diag > 0.0) else 1.0
-        diag[diag <= 0.0] = floor
-
-        accepted = False
-        for _ in range(_MAX_REJECTS_PER_STEP):
-            try:
-                step = _solve(A + lam * np.diag(diag), g)
-            except np.linalg.LinAlgError:
-                lam *= _DAMPING_FACTOR
-                continue
-            cand = project(theta + step)
-            f_c = np.asarray(model(x, cand), dtype=float)
-            if not np.all(np.isfinite(f_c)):
-                lam *= _DAMPING_FACTOR
-                continue
-            r_c = y - f_c
-            cost_c = float(np.einsum("i,i,i->", w, r_c, r_c))
-            if cost_c <= cost:
-                accepted = True
-                break
-            lam *= _DAMPING_FACTOR
-        if not accepted:
-            message = "damping schedule exhausted without an acceptable step"
-            break
-
-        moved = math.hypot(*(cand - theta))
-        rel_drop = (cost - cost_c) / cost if cost > 0.0 else 0.0
-        theta, r, cost = cand, r_c, cost_c
-        lam = max(lam / _DAMPING_FACTOR, 1e-300)
-        if rel_drop < _COST_RTOL:
-            converged = True
-            message = "relative cost decrease below tolerance"
-            break
-        if moved < _STEP_RTOL * (1.0 + math.hypot(*theta)):
-            converged = True
-            message = "step size below tolerance"
-            break
-
-    J = jacobian(x, theta)
-    covariance, degenerate = _covariance_from_normal(np.einsum("ki,k,kj->ij", J, w, J))
-    if degenerate:
-        message += "; singular normal matrix, covariance is a pseudo-inverse"
-    return LMResult(
-        theta=theta,
-        covariance=covariance,
-        cost=cost,
-        iterations=iterations,
-        converged=converged,
-        degenerate=degenerate,
-        message=message,
-    )
+def _search(f: Callable[[float], tuple], grid: list[float]) -> tuple[float, tuple, int, bool]:
+    """Minimize f(x)[0] over [grid[0], grid[-1]]: the best grid point, then
+    Brent's method (golden-section and parabolic steps) between its
+    neighbours. Returns the best x, f(x), the refinement steps taken and
+    whether the bracket shrank to tolerance. A minimum at an end of the
+    grid reports that end; a grid minimum level with both neighbours is
+    not refined. See R. P. Brent, Algorithms for Minimization without
+    Derivatives (1973), ch. 5."""
+    trials = [f(x) for x in grid]
+    j = min(range(len(grid)), key=lambda i: trials[i][0])
+    i, k = max(j - 1, 0), min(j + 1, len(grid) - 1)
+    if trials[i][0] == trials[j][0] == trials[k][0]:
+        return grid[j], trials[j], 0, True  # flat: nothing to refine
+    a, b = grid[i], grid[k]
+    tol = _REFINE_RTOL * (grid[1] - grid[0])
+    x = w = v = grid[j]
+    best = trials[j]
+    fx = fw = fv = best[0]
+    d = e = 0.0
+    for steps in range(_MAX_REFINE):
+        m = 0.5 * (a + b)
+        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
+            return x, best, steps, True
+        # A parabola through x, w and v, if its vertex falls well inside
+        # the bracket and moves less than half the step before last.
+        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+        p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+        p, q = (-p, q) if q > 0.0 else (p, -q)
+        if abs(e) > tol and abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+            e, d = d, p / q
+            if x + d - a < 2.0 * tol or b - x - d < 2.0 * tol:
+                d = tol if x < m else -tol
+        else:
+            e = b - x if x < m else a - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if fu[0] <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx, best = w, fw, x, fx, u, fu[0], fu
+        else:
+            a, b = (a, u) if u >= x else (u, b)
+            if fu[0] <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu[0]
+            elif fu[0] <= fv or v == x or v == w:
+                v, fv = u, fu[0]
+    return x, best, _MAX_REFINE, False
 
 
 @dataclass
@@ -249,34 +191,9 @@ def _dip_jacobian_external(
     return np.column_stack(cols)
 
 
-def _self_initialize(
-    delays: np.ndarray, counts: np.ndarray, factor: float
-) -> tuple[float, float, float]:
-    """Starting point from the data alone.
-
-    Baseline from the largest count; visibility from the two-point depth
-    estimator, clamped into [0, 1]; sigma from the half-width of the
-    delay region whose counts sit below the midpoint between the extremes.
-    """
-    c_max = float(counts.max())
-    c_min = float(counts.min())
-    baseline = max(c_max, 1.0)
-    vis = 0.0 if c_max <= 0.0 else (1.0 - c_min / c_max) / factor
-    vis = min(max(vis, 0.0), 1.0)
-    midpoint = 0.5 * (c_max + c_min)
-    below = delays[counts < midpoint]
-    if below.size >= 1 and float(below.max() - below.min()) > 0.0:
-        sigma = 0.5 * float(below.max() - below.min())
-    else:
-        span = float(delays.max() - delays.min())
-        sigma = span / 4.0 if span > 0.0 else 1.0
-    return baseline, vis, max(sigma, 1e-6)
-
-
 def fit_dip(
     points: Sequence[ScanPoint],
     splitter: BeamSplitter,
-    init: DipModelParams | None = None,
     fit_center: bool = False,
 ) -> FitResult:
     """Fit (baseline, visibility, sigma) to scan counts.
@@ -284,17 +201,16 @@ def fit_dip(
     Weighted least squares with Poisson weights 1 / max(count, 1); the
     splitter imbalance factor is fixed from its measured T and R. The
     visibility is box-constrained to [0, 1.02] (slight overshoot allowed
-    so near-unity estimates are not biased by clipping) and sigma is kept
-    positive through an internal log parameterization. Sigma is kept
+    so near-unity estimates are not biased by clipping). Sigma is searched
     within 1e-3 to 1e3 times the largest |delay|: a dip that much wider
     than the scan is flat on it, and one that much narrower falls between
-    its points, so the bounds only stop a runaway trial step from
-    overflowing or collapsing to zero, and a fit that ends on one found
-    no width on this scan.
+    its points, so a fit that ends on a bound found no width on this scan.
+    A fitted center is searched within the scan's delay range.
 
-    Preconditions: at least four points (five with a fitted center), and
-    at least one point beyond twice the initial sigma so the baseline is
-    constrained. Non-convergence is reported in the result, not raised.
+    Preconditions: at least four points (five with a fitted center), some
+    coincidences, and at least one point beyond twice the fitted sigma so
+    the baseline is constrained. Non-convergence is reported in the
+    result, not raised.
     """
     if len(points) < (5 if fit_center else 4):
         raise ValueError(
@@ -303,70 +219,93 @@ def fit_dip(
         )
     delays = np.array([pt.delay_ps for pt in points], dtype=float)
     counts = np.array([pt.coincidences for pt in points], dtype=float)
+    if not (np.isfinite([delays, counts]).all() and counts.min() >= 0.0):
+        raise ValueError("delays and coincidences must be finite, coincidences >= 0")
+    if not counts.any():
+        raise ValueError("no coincidences to fit")
+    d_max = float(np.abs(delays).max())
+    if d_max == 0.0:
+        raise ValueError("no baseline leverage: every delay is 0; widen the scan")
+    x = delays / d_max  # delays, widths and centers in units of d_max: none overflows
     factor = splitter_dip_factor(splitter)
+    weights = 1.0 / np.maximum(counts, 1.0)
+    sum_weights = np.stack([weights, weights * counts])
+    s_w, s_y = np.einsum("ki->k", sum_weights).tolist()
+    k = 1.02 * factor  # C / B at V = 1.02
 
-    if init is not None:
-        theta_ext = [init.baseline, init.visibility, init.sigma_ps]
+    def profile(log_sigma: float, d2: np.ndarray) -> tuple[float, float, float]:
+        """(chi^2, baseline, visibility) with the least chi^2 in the box at
+        this width, given the squared offsets d2 from the center.
+
+        The lineshape is a - C q with a = B - C and q = e - 1 from expm1,
+        whose columns stay apart however wide the dip: 1 and e would merge.
+        The unconstrained optimum is taken if it is inside the box, else the
+        better of its faces V = 0 and V = 1.02."""
+        q = np.expm1(d2 * (-0.5 * math.exp(-2.0 * log_sigma)))
+        s_q, s_yq = np.einsum("ki,i->k", sum_weights, q).tolist()
+        s_qq = float(np.einsum("i,i,i->", weights, q, q))
+        det = s_w * s_qq - s_q * s_q
+        c = (s_q * s_y - s_w * s_yq) / det if det > 0.0 else 0.0
+        b = (s_y * s_qq - s_q * s_yq) / det + c if det > 0.0 else 0.0
+        v = c / (factor * b) if b > 0.0 else -1.0
+        if 0.0 <= v <= 1.02:
+            candidates = [(b, v)]
+        else:  # the optimum in the box lies on the face V = 0 or V = 1.02
+            candidates = [(s_y / s_w, 0.0)]
+            # At V = 1.02 the lineshape is B h with h = (1 - k) - k q.
+            s_hh = (1.0 - k) ** 2 * s_w - 2.0 * k * (1.0 - k) * s_q + k * k * s_qq
+            if s_hh > 0.0:
+                candidates.append((max((1.0 - k) * s_y - k * s_yq, 0.0) / s_hh, 1.02))
+        fits = []
+        for b, v in candidates:
+            c = b * factor * v
+            r = counts + (c * q + (c - b))
+            fits.append((float(np.einsum("i,i,i->", weights, r, r)), b, v))
+        return min(fits)
+
+    log_sigmas = [math.log(1e3) * (j / 9.0 - 1.0) for j in range(19)]  # 1e-3 to 1e3
+
+    def width(center: float) -> tuple:
+        """(chi^2, baseline, visibility, sigma / d_max, steps, converged) at this center."""
+        d2 = (x - center) ** 2
+        t, (chi2, b, v), steps, converged = _search(lambda t: profile(t, d2), log_sigmas)
+        return chi2, b, v, math.exp(t), steps, converged
+
+    if fit_center:
+        lo, hi = float(x.min()), float(x.max())
+        centers = [lo + (hi - lo) * j / (_CENTER_GRID - 1) for j in range(_CENTER_GRID)]
+        center, found, steps, converged = _search(width, centers)
+        converged = converged and found[5]
     else:
-        theta_ext = list(_self_initialize(delays, counts, factor))
-    if not np.any(np.abs(delays) > 2.0 * theta_ext[2]):
+        center, found = 0.0, width(0.0)
+        steps, converged = found[4:]
+    chi2, b, v, s = found[:4]
+    if not np.any(np.abs(x) > 2.0 * s):
         raise ValueError(
-            f"no baseline leverage: every |delay| is within twice the initial "
-            f"sigma ({theta_ext[2]:.3g} ps); widen the scan"
+            f"no baseline leverage: every |delay| is within twice the fitted "
+            f"sigma ({d_max * s:.3g} ps); widen the scan"
         )
 
-    weights = 1.0 / np.maximum(counts, 1.0)
-    n_params = 4 if fit_center else 3
-    # Positive: the leverage check above found some |delay| > 0.
-    log_sigma_max = math.log(1e3 * float(np.abs(delays).max()))
-    log_sigma_min = log_sigma_max - math.log(1e6)
-
-    # Internal parameterization: (baseline, visibility, log sigma[, center]).
-    def to_external(th: np.ndarray) -> tuple[float, float, float, float]:
-        center = th[3] if fit_center else 0.0
-        return float(th[0]), float(th[1]), float(math.exp(th[2])), float(center)
-
-    def model(x: np.ndarray, th: np.ndarray) -> np.ndarray:
-        b, v, s, c = to_external(th)
-        return dip_curve(x, b, v, s, factor, c)
-
-    def jacobian(x: np.ndarray, th: np.ndarray) -> np.ndarray:
-        b, v, s, c = to_external(th)
-        J = _dip_jacobian_external(x, b, v, s, factor, c, with_center=fit_center)
-        J[:, 2] *= s  # chain rule for the log-sigma coordinate
-        return J
-
-    def project(th: np.ndarray) -> np.ndarray:
-        out = th.copy()
-        out[0] = max(out[0], 0.0)
-        out[1] = min(max(out[1], 0.0), 1.02)
-        out[2] = min(max(out[2], log_sigma_min), log_sigma_max)
-        return out
-
-    theta0 = [theta_ext[0], theta_ext[1], math.log(theta_ext[2])]
-    if fit_center:
-        theta0.append(0.0)
-    lm = levenberg_marquardt(model, delays, counts, weights, theta0, jacobian, project)
-
-    # lm.covariance is in (baseline, visibility, log sigma[, center]);
-    # d sigma = sigma d(log sigma) maps it to the reported coordinates.
-    b, v, s, c = to_external(lm.theta)
-    scale = np.ones(n_params)
-    scale[2] = s
-    covariance = lm.covariance * np.outer(scale, scale)
-    if lm.degenerate:  # a pseudo-inverse is not a covariance
+    J = _dip_jacobian_external(x, b, v, s, factor, center, fit_center)
+    covariance, degenerate = _covariance_from_normal(
+        np.einsum("ki,k,kj->ij", J, weights, J))
+    scale = np.array([1.0, 1.0, d_max, d_max][:len(covariance)])  # back to ps
+    covariance *= np.outer(scale, scale)
+    message = "refinement " + ("bracket below tolerance" if converged else "step cap reached")
+    if degenerate:  # a pseudo-inverse is not a covariance
         covariance[:] = np.nan
+        message += "; singular normal matrix, covariance is a pseudo-inverse"
     std_errors = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
 
     return FitResult(
-        params=DipModelParams(b, v, s),
+        params=DipModelParams(b, v, d_max * s),
         std_errors=std_errors,
         covariance=covariance,
-        chi_squared=lm.cost,
-        dof=len(points) - n_params,
-        converged=lm.converged,
-        iterations=lm.iterations,
-        degenerate=lm.degenerate,
-        message=lm.message,
-        center_ps=c if fit_center else None,
+        chi_squared=chi2,
+        dof=len(points) - (4 if fit_center else 3),
+        converged=converged,
+        iterations=steps,
+        degenerate=degenerate,
+        message=message,
+        center_ps=d_max * center if fit_center else None,
     )

@@ -41,8 +41,6 @@ MODULE_ONLY = {
     "clicks_from_occupation": "fock",
     "permanent": "fock",
     "temporal_decompose": "fock",
-    "LMResult": "fitting",
-    "levenberg_marquardt": "fitting",
     "GateRecord": "simulate",
     "thread_cap": "simulate",
 }

@@ -192,10 +192,11 @@ class TestDipScan:
 
     def test_degenerate_fit_exits_no_convergence(self, tmp_path):
         # Five delays within 0.3 ps and a free center: the fit converges
-        # with a singular normal matrix, which exits 3 as in `fit`.
+        # onto a dip narrower than the grid at one point, with a singular
+        # normal matrix, which exits 3 as in `fit`.
         out = tmp_path / "run"
         proc = run_cli(
-            "dip-scan", *BOOST, "--gates", "1e4", "--seed", "2",
+            "dip-scan", *BOOST, "--gates", "1e4", "--seed", "1",
             "--delay-min", "0", "--delay-max", "0.3", "--delay-steps", "5",
             "--fit-center", "--out", str(out),
         )
@@ -312,8 +313,9 @@ class TestFitSubcommand:
         assert len(report["data"]["points"]["delay_ps"]) == 3
 
     def test_degenerate_fit_exits_no_convergence(self, tmp_path):
-        # Four points within 0.3 ps: the fit converges onto a width pinned
-        # against the grid, with a singular normal matrix.
+        # Four points within 0.3 ps: every width below about 0.0116 ps fits
+        # them exactly, and the fit reports the floor of the width box, with
+        # a singular normal matrix.
         csv_path = tmp_path / "narrow.csv"
         csv_path.write_text(
             "delay_ps,gates,singles_a,singles_b,coincidences\n"
@@ -329,7 +331,7 @@ class TestFitSubcommand:
         # No std error or covariance entry is defined: null, empty cells.
         assert report["data"]["fit"]["std_errors"] == [None] * 3
         assert report["data"]["fit"]["covariance"] == [[None] * 3] * 3
-        assert "sigma_ps    0.0115 +/- nan" in proc.stdout
+        assert "sigma_ps    0.0003 +/- nan" in proc.stdout
         rows = (tmp_path / "fit" / "fit.csv").read_text().splitlines()
         assert rows[0] == "parameter,estimate,std_error"
         assert [row.rsplit(",", 1)[1] for row in rows[1:]] == ["", "", ""]
@@ -495,20 +497,25 @@ class TestVisibilitySweep:
         assert line[2] == line[4] == ""
 
     def test_runaway_width_exits_no_convergence_without_a_traceback(self, tmp_path):
-        # The same narrow grid at 1e5 gates: LM steps push sigma far past
-        # the scan, which once overflowed math.exp in the fit.
+        # The same narrow grid at 1e5 gates and seed 1: the counts 6, 6, 7, 9
+        # curve upward like a parabola, which a Gaussian dip matches better
+        # the wider it is, so the width's profile falls all the way to its
+        # upper bound, 1e3 x 0.3 ps, and the leverage rule rejects the fit.
+        # A width running off like this once overflowed math.exp.
         out = tmp_path / "run"
         proc = run_cli(
             "visibility-sweep", "--eta", "0.2", "--pairs", "0.05",
-            "--gates", "1e5", "--seed", "0", "--delay-min", "0",
+            "--gates", "1e5", "--seed", "1", "--delay-min", "0",
             "--delay-max", "0.3", "--delay-steps", "4", "--out", str(out),
         )
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
-        assert "+/- nan" in proc.stdout
         (row,) = read_json(out / "report.json")["data"]["rows"]
-        assert row["fit"]["degenerate"] is True
-        assert math.isfinite(row["sigma_fit_ps"])
+        assert row["fit"] is None
+        assert row["error"] == (
+            "no baseline leverage: every |delay| is within twice the fitted "
+            "sigma (300 ps); widen the scan"
+        )
 
     def test_empty_pair_list_is_a_usage_error(self):
         proc = run_cli("visibility-sweep", "--pairs", "")
