@@ -162,6 +162,33 @@ def visibility_prediction(budget: VisibilityBudget) -> float:
     return 1.0 - (2.0 * p * eta + 4.0 * dt + leak) / denom
 
 
+# Pattern vector order everywhere in the package: (no click, B only,
+# A only, both). Index arithmetic relies on it.
+_P00, _P01, _P10, _P11 = 0, 1, 2, 3
+
+
+def _poisson_pair_pmf(p, g_a, g_b, w, dark_a, dark_b) -> np.ndarray:
+    """Click-pattern pmf of Poisson-many independent pairs plus darks.
+
+    One pair clicks A with probability g_a, B with g_b and both with w; the
+    arguments may be arrays of one shape, which gets a trailing axis of the
+    four patterns. A pulse of mean p pairs leaves A silent with
+    exp(-p g_a), the generating function sum_n Pois(n; p) x^n =
+    exp(-p (1 - x)) at x = 1 - g_a, and darks veto independently. The sum
+    P11 = q_A q_B - P00 expm1(-p w) keeps the digits that
+    1 - P00 - P01 - P10 loses at low rates.
+    """
+    log_silent_a = np.log1p(-dark_a) - p * g_a
+    log_silent_b = np.log1p(-dark_b) - p * g_b
+    p00 = np.exp(log_silent_a + log_silent_b + p * w)
+    q_a, q_b = -np.expm1(log_silent_a), -np.expm1(log_silent_b)
+    p11 = q_a * q_b - p00 * np.expm1(-p * w)
+    # P01 and P10 are differences, which can round below a true 0.
+    return np.stack(
+        [p00, np.maximum(q_b - p11, 0.0), np.maximum(q_a - p11, 0.0), p11], axis=-1
+    )
+
+
 def car_slot_pmf(
     p: float, eta_s: float, eta_i: float, dark_a: float, dark_b: float, leak: float
 ) -> np.ndarray:
@@ -169,25 +196,15 @@ def car_slot_pmf(
 
     A CAR run taps the channels straight into the detectors, A on arm s and
     B on arm i, after crosstalk swaps each photon's arm with probability
-    `leak`. One pair leaves A silent with x_A = (1 - (1 - leak) eta_s)
-    (1 - leak eta_s), B with x_B (the same with eta_i), and both with
-    x_0 = (1 - (1 - leak) eta_s - leak eta_i)(1 - leak eta_s - (1 - leak) eta_i).
-    Poisson pair numbers mix each in as exp(-p (1 - x)) and darks veto
-    independently, as in `exact._compose_gate_pmf`. Written with what a pair
-    clicks, g_A = 1 - x_A, g_B and w = 1 - x_A - x_B + x_0, the sum
-    P11 = q_A q_B + P00 (1 - exp(-p w)) keeps the digits that
-    1 - P00 - P01 - P10 loses at low rates.
+    `leak`. One pair clicks A with g_A = 1 - (1 - (1 - leak) eta_s)
+    (1 - leak eta_s), B with g_B (the same with eta_i), and both with
+    w = ((1 - leak)^2 + leak^2) eta_s eta_i; `_poisson_pair_pmf` mixes
+    them, as it does the dip's per-pair patterns in `exact`.
     """
     g_a = eta_s * (1.0 - leak * (1.0 - leak) * eta_s)
     g_b = eta_i * (1.0 - leak * (1.0 - leak) * eta_i)
     w = ((1.0 - leak) ** 2 + leak * leak) * eta_s * eta_i
-    log_silent_a = math.log1p(-dark_a) - p * g_a
-    log_silent_b = math.log1p(-dark_b) - p * g_b
-    p00 = math.exp(log_silent_a + log_silent_b + p * w)
-    q_a, q_b = -math.expm1(log_silent_a), -math.expm1(log_silent_b)
-    p11 = q_a * q_b - p00 * math.expm1(-p * w)
-    # P01 and P10 are differences, which can round below a true 0.
-    return np.array([p00, max(q_b - p11, 0.0), max(q_a - p11, 0.0), p11])
+    return _poisson_pair_pmf(p, g_a, g_b, w, dark_a, dark_b)
 
 
 def car_prediction(

@@ -6,7 +6,8 @@ exactly (probabilities from the `fock` oracle). Photons from different
 pairs of the same pulse are mutually distinguishable, the multimode-source
 limit: a gate with n pairs composes n independent per-pair click
 distributions, so a Poisson pair number mixes in exactly through its
-generating function, and dark counts OR onto each threshold detector.
+generating function, and dark counts OR onto each threshold detector;
+`analytics._poisson_pair_pmf` does both, for the CAR's slot pmf too.
 Because the per-pair distributions are oracle outputs, the comparison
 against the closed-form visibility budget is a real cross-check rather
 than a restatement. Pairs of one pulse that share one mode per arm give
@@ -36,12 +37,10 @@ from typing import Iterator
 import numpy as np
 
 from . import fock
-from .analytics import amplitude_overlap, splitter_dip_factor
+from .analytics import (
+    _P00, _P01, _P10, _P11, _poisson_pair_pmf, amplitude_overlap, splitter_dip_factor,
+)
 from .model import ExperimentConfig, validate
-
-# Pattern vector order everywhere in the package: (no click, B only,
-# A only, both). Index arithmetic relies on it.
-_P00, _P01, _P10, _P11 = 0, 1, 2, 3
 
 # Fock input of each oracle evaluation (mode order as in `fock`): every
 # arrangement but "cross", plus the two parts of "cross", "twin" (idler in
@@ -143,40 +142,19 @@ def _pair_pattern_probs(config: ExperimentConfig, kappa: float | list[float]) ->
     return pi
 
 
-def _compose_gate_pmf(
-    pair_probs: np.ndarray, mean_pairs: float, dark_a: float, dark_b: float
-) -> np.ndarray:
-    """Gate-level click-pattern pmfs from independent pairs plus darks.
-
-    One output row per row of per-pair probabilities. Pairs are independent
-    given their number n, so each per-gate no-click probability is the
-    Poisson mixture of n-th powers of a per-pair one, x: its generating
-    function, sum_n Pois(n; p) x^n = exp(-p (1 - x)). Darks multiply in as
-    one more independent veto per detector.
-    """
-    # One pair leaves A silent, B silent and both silent with these x.
-    x00 = pair_probs[:, _P00]
-    x = np.stack([x00 + pair_probs[:, _P01], x00 + pair_probs[:, _P10], x00])
-    e_a, e_b, e_0 = np.exp(-mean_pairs * (1.0 - x))
-
-    p00 = (1.0 - dark_a) * (1.0 - dark_b) * e_0
-    p01 = (1.0 - dark_a) * e_a - p00
-    p10 = (1.0 - dark_b) * e_b - p00
-    p11 = 1.0 - p00 - p01 - p10
-    pmf = np.clip(np.stack([p00, p01, p10, p11], axis=1), 0.0, None)
-    return pmf / pmf.sum(axis=1, keepdims=True)
-
-
 def _gate_pmfs(config: ExperimentConfig, kappas: list[float]) -> np.ndarray:
     """Exact per-gate click-pattern pmfs of `config`, one row per overlap.
 
     A dip scan builds all its points here in one pass, and only the overlap
-    kappa changes from row to row. The config is not checked here: both
-    callers, `run_dip_scan` and `gate_pattern_distribution`, validate it
-    first.
+    kappa changes from row to row. Each row of per-pair patterns reduces to
+    what one pair clicks, A, B and both, for `_poisson_pair_pmf`. The
+    config is not checked here: every caller (`run_dip_scan`,
+    `gate_pattern_distribution`, `exact_visibility`) validates it first.
     """
-    return _compose_gate_pmf(
-        _pair_pattern_probs(config, kappas), config.source.mean_pairs_per_pulse,
+    pi = _pair_pattern_probs(config, kappas)
+    return _poisson_pair_pmf(
+        config.source.mean_pairs_per_pulse,
+        pi[:, _P10] + pi[:, _P11], pi[:, _P01] + pi[:, _P11], pi[:, _P11],
         config.detector_a.dark_prob_per_gate, config.detector_b.dark_prob_per_gate,
     )
 

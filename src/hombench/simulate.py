@@ -26,6 +26,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytics import (
+    _P00,
+    _P01,
+    _P10,
+    _P11,
     CalibrationError,
     amplitude_overlap,
     budget_from_config,
@@ -37,10 +41,6 @@ from .analytics import (
     visibility_prediction,
 )
 from .exact import (
-    _P00,
-    _P01,
-    _P10,
-    _P11,
     _gate_pmfs,
     _pair_click_dist,
     _pair_pattern_probs,
@@ -126,6 +126,14 @@ def thread_cap() -> int:
             f"HOMBENCH_THREADS must be a positive integer (got {raw!r})"
         )
     return min(32, cap)
+
+
+def _count(name: str, value: int) -> int:
+    """`value` as an int; refused unless a whole number >= 1 and not a bool."""
+    if isinstance(value, bool) or not (
+            math.isfinite(value) and value >= 1 and value == int(value)):
+        raise ValueError(f"{name} must be a whole number >= 1 (got {value!r})")
+    return int(value)
 
 
 def _as_seedseq(seed: int | np.random.SeedSequence) -> np.random.SeedSequence:
@@ -331,8 +339,7 @@ def run_dip_scan(
     after all have joined.
     """
     validate(config)
-    if gates_per_point < 1:
-        raise ValueError(f"gates_per_point must be >= 1 (got {gates_per_point!r})")
+    gates_per_point = _count("gates_per_point", gates_per_point)
     if not delays:
         raise ValueError("delays must be non-empty")
     if sampler not in SAMPLERS:
@@ -496,10 +503,7 @@ def run_car(
     `p_estimate_note`.
     """
     validate(config)
-    if gates < 1:
-        raise ValueError(f"gates must be >= 1 (got {gates!r})")
-    if n_offset_slots < 1:
-        raise ValueError(f"n_offset_slots must be >= 1 (got {n_offset_slots!r})")
+    gates, n_offset_slots = _count("gates", gates), _count("n_offset_slots", n_offset_slots)
     if gates <= n_offset_slots:
         raise ValueError("gates must exceed n_offset_slots")
     overlap = indistinguishability(config.delay_ps, config.wavepacket.sigma_ps)

@@ -51,7 +51,7 @@ class TestPredict:
         assert report["kind"] == "predict"
         analytic = report["analytic"]
         assert analytic["visibility_budget"] == pytest.approx(0.80, abs=1e-9)
-        assert analytic["visibility_exact"] == pytest.approx(0.7001545095385033, rel=1e-9)
+        assert analytic["visibility_exact"] == pytest.approx(0.7001545089311032, rel=1e-9)
         rows = (tmp_path / "run" / "predict.csv").read_text().splitlines()
         assert rows[2] == f"visibility_exact,{analytic['visibility_exact']!r}"
         assert analytic["car"] == pytest.approx(29.457666308711875, rel=1e-9)

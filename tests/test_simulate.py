@@ -38,7 +38,7 @@ FROZEN_DEFAULT_PMF = [
     0.9993362812512148,
     0.00043699690916110256,
     0.00022662172261589397,
-    1.001170082393088e-07,
+    1.0011700842417349e-07,
 ]
 
 # CAR per-slot pmf, delay parked at 10 sigma: reference instrument, then
@@ -72,11 +72,17 @@ def test_poisson_pmf_sums_to_one(p):
 
 class TestGatePatternDistribution:
     def test_sums_to_one(self, default_cfg, symmetric_cfg):
-        for cfg in (default_cfg, symmetric_cfg(0.05, 0.2, 1e-4)):
+        # Source off, a saturated lossless source, no darks, and full
+        # crosstalk: the rows need no clipping or renormalising.
+        rng = np.random.default_rng(0)
+        for cfg in (default_cfg, symmetric_cfg(0.05, 0.2, 1e-4), symmetric_cfg(0.0, 0.2, 1e-4),
+                    symmetric_cfg(800.0, 1.0, 1e-4), symmetric_cfg(0.05, 0.2, 0.0),
+                    symmetric_cfg(0.05, 0.2, 1e-4, extinction=1.0)):
             pmf = gate_pattern_distribution(cfg)
             assert pmf.shape == (4,)
             assert pmf.sum() == pytest.approx(1.0, abs=1e-14)
             assert (pmf >= 0.0).all()
+            assert rng.multinomial(10**6, pmf).sum() == 10**6
 
     def test_frozen_values_at_calibrated_defaults(self, default_cfg):
         np.testing.assert_allclose(
@@ -177,6 +183,30 @@ class TestGatePatternDistribution:
                 both = 1 - silent_a - silent_b + silent
                 enumerated = float(both / ((1 - silent_a) * (1 - silent_b)))
             assert car_prediction(*terms) == pytest.approx(enumerated, rel=1e-10), (p, eta)
+
+    @pytest.mark.parametrize("p", [1e-6, 1e-4, 0.03, 2.0])
+    @pytest.mark.parametrize("darks", [False, True])
+    @pytest.mark.parametrize("kappa", [0.0, 1.0])
+    def test_dip_pmf_matches_the_decimal_mixture(self, default_cfg, p, darks, kappa):
+        # Each pattern of the gate pmf from one pair's pattern probabilities,
+        # mixed over Poisson pair numbers with darks in 40-digit decimals.
+        # At low rates P11 is far below the no-click probability, so it
+        # keeps its digits only if it is never a difference from 1.
+        detectors = {} if darks else {
+            "detector_a": replace(default_cfg.detector_a, dark_prob_per_gate=0.0),
+            "detector_b": replace(default_cfg.detector_b, dark_prob_per_gate=0.0)}
+        cfg = replace(default_cfg, source=replace(default_cfg.source, mean_pairs_per_pulse=p),
+                      **detectors)
+        with decimal.localcontext(prec=40):
+            pi = [decimal.Decimal(v) for v in _pair_pattern_probs(cfg, [kappa])[0].tolist()]
+            mean, dark_a, dark_b = (decimal.Decimal(v) for v in (
+                p, cfg.detector_a.dark_prob_per_gate, cfg.detector_b.dark_prob_per_gate))
+            silent_a = (1 - dark_a) * (-mean * (pi[2] + pi[3])).exp()
+            silent_b = (1 - dark_b) * (-mean * (pi[1] + pi[3])).exp()
+            silent = (1 - dark_a) * (1 - dark_b) * (-mean * sum(pi[1:])).exp()
+            mixed = [float(v) for v in (silent, silent_a - silent, silent_b - silent,
+                                        1 - silent_a - silent_b + silent)]
+        np.testing.assert_allclose(gate_pattern_distribution(cfg, kappa=kappa), mixed, rtol=1e-12)
 
     @pytest.mark.parametrize("p, gap", [(0.03, 0.0270428), (0.1, 0.0800326)])
     def test_multimode_limit_against_identical_pairs(self, symmetric_cfg, p, gap):
@@ -739,8 +769,15 @@ class TestRunDipScan:
         cfg = symmetric_cfg(0.05, 0.2, 1e-4)
         with pytest.raises(ValueError):
             run_dip_scan(cfg, [], 1000, seed=0)
-        with pytest.raises(ValueError):
-            run_dip_scan(cfg, [0.0], 0, seed=0)
+        for gates in (0, 1.5, True, math.nan, math.inf):
+            for sampler in ("multinomial", "per-gate"):
+                with pytest.raises(ValueError, match="whole number"):
+                    run_dip_scan(cfg, [0.0], gates, seed=0, sampler=sampler)
+        # A whole count given as a float runs as the int it is.
+        for sampler in ("multinomial", "per-gate"):
+            (point,) = run_dip_scan(cfg, [0.0], 1e3, seed=0, sampler=sampler)
+            assert point == run_dip_scan(cfg, [0.0], 1000, seed=0, sampler=sampler)[0]
+            assert type(point.gates) is int
         with pytest.raises(ValueError):
             run_dip_scan(cfg, [0.0], 1000, seed=0, sampler="bogus")
         with pytest.raises(ConfigError):
@@ -834,6 +871,17 @@ class TestRunCar:
         cfg = symmetric_cfg(0.03, 0.1, 1e-4, delay_ps=60.0)
         with pytest.raises(ValueError):
             run_car(cfg, 5, n_offset_slots=10, seed=0)
+
+    def test_requires_whole_counts(self, symmetric_cfg):
+        cfg = symmetric_cfg(0.03, 0.1, 1e-4, delay_ps=60.0)
+        for gates, slots in ((1.5e9 + 0.5, 10), (True, 10), (0, 10), (math.inf, 10),
+                             (10**6, 2.5), (10**6, True)):
+            with pytest.raises(ValueError, match="whole number"):
+                run_car(cfg, gates, n_offset_slots=slots, seed=0)
+        # A whole count given as a float runs as the int it is.
+        result = run_car(cfg, 2e6, seed=4)
+        assert result == run_car(cfg, 2_000_000, seed=4)
+        assert type(result.gates) is int
 
     def test_insufficient_statistics_reports_needed_gates(self, symmetric_cfg):
         cfg = symmetric_cfg(0.03, 0.1, 1e-4, delay_ps=60.0)
