@@ -167,32 +167,34 @@ def visibility_prediction(budget: VisibilityBudget) -> float:
 _P00, _P01, _P10, _P11 = 0, 1, 2, 3
 
 
-def _poisson_pair_pmf(p, g_a, g_b, w, dark_a, dark_b) -> np.ndarray:
+def _poisson_pair_pmf(
+    p: float, g_a: float, g_b: float, w: float, dark_a: float, dark_b: float
+) -> tuple[float, float, float, float]:
     """Click-pattern pmf of Poisson-many independent pairs plus darks.
 
     One pair clicks A with probability g_a, B with g_b and both with w; the
-    arguments may be arrays of one shape, which gets a trailing axis of the
-    four patterns. A pulse of mean p pairs leaves A silent with
-    exp(-p g_a), the generating function sum_n Pois(n; p) x^n =
-    exp(-p (1 - x)) at x = 1 - g_a, and darks veto independently. The sum
-    P11 = q_A q_B - P00 expm1(-p w) keeps the digits that
-    1 - P00 - P01 - P10 loses at low rates.
+    result is the four patterns in `_P00` order, as floats. A pulse of mean
+    p pairs leaves A silent with exp(-p g_a), the generating function
+    sum_n Pois(n; p) x^n = exp(-p (1 - x)) at x = 1 - g_a, and darks veto
+    independently. The sum P11 = q_A q_B - P00 expm1(-p w) keeps the
+    digits that 1 - P00 - P01 - P10 loses at low rates. It runs on `math`
+    scalars, not numpy: `invert_car` calls it about 80 times, and
+    `exact._gate_pmfs` maps it over the rows of a scan.
     """
-    log_silent_a = np.log1p(-dark_a) - p * g_a
-    log_silent_b = np.log1p(-dark_b) - p * g_b
-    p00 = np.exp(log_silent_a + log_silent_b + p * w)
-    q_a, q_b = -np.expm1(log_silent_a), -np.expm1(log_silent_b)
-    p11 = q_a * q_b - p00 * np.expm1(-p * w)
+    log_silent_a = math.log1p(-dark_a) - p * g_a
+    log_silent_b = math.log1p(-dark_b) - p * g_b
+    p00 = math.exp(log_silent_a + log_silent_b + p * w)
+    q_a, q_b = -math.expm1(log_silent_a), -math.expm1(log_silent_b)
+    p11 = q_a * q_b - p00 * math.expm1(-p * w)
     # P01 and P10 are differences, which can round below a true 0.
-    return np.stack(
-        [p00, np.maximum(q_b - p11, 0.0), np.maximum(q_a - p11, 0.0), p11], axis=-1
-    )
+    return p00, max(q_b - p11, 0.0), max(q_a - p11, 0.0), p11
 
 
 def car_slot_pmf(
     p: float, eta_s: float, eta_i: float, dark_a: float, dark_b: float, leak: float
-) -> np.ndarray:
-    """Per-slot click-pattern pmf (no click, B only, A only, both) of a CAR run.
+) -> tuple[float, float, float, float]:
+    """Per-slot click-pattern pmf of a CAR run: four floats, no click, B only,
+    A only and both.
 
     A CAR run taps the channels straight into the detectors, A on arm s and
     B on arm i, after crosstalk swaps each photon's arm with probability
@@ -230,7 +232,7 @@ def car_prediction(
         raise NoAccidentalsError(
             "no accidental channel: both singles probabilities are zero"
         )
-    return float(p11 / accidental)
+    return p11 / accidental
 
 
 def car_peak_pair_rate(
@@ -287,7 +289,7 @@ def invert_car(
     p_peak = car_peak_pair_rate(*terms)
     _, p01, p10, p11 = car_slot_pmf(p_peak, *terms)
     peak_singles = (p10 + p11) * (p01 + p11)
-    car_max = float(p11 / peak_singles)
+    car_max = p11 / peak_singles
     if car > car_max:
         raise CalibrationError(
             f"CAR {car:g} exceeds the model maximum {car_max:g} at p = {p_peak:g}"

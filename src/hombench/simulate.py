@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytics import (
-    _P00,
     _P01,
     _P10,
     _P11,
@@ -435,6 +434,9 @@ def _cluster_clicks(
     Returns the sorted gates of the clicks next to a short gap, the last of
     them ending the block, and the number of clicks inside runs of long
     gaps that fall before `gates`. See `run_car` for the decomposition.
+    The run across the last gate has a few hundred cut points at the
+    reference config. They are sorted as a Python list, because numpy's
+    sort kernel would page in about 256 kB of code for them.
     """
     gap = (rng.standard_exponential(_CAR_SHORT_GAPS) / lam).astype(np.int64) + 1
     # gap - 1 = R k + (S - 1): R ~ geometric(s) long gaps precede a short
@@ -454,11 +456,12 @@ def _cluster_clicks(
     if i < run.size and r[i] > 1:
         # The run across the last gate: given their sum, its long gaps'
         # excess failures are a uniform weak composition into R parts.
-        cuts = np.sort(rng.choice(excess[i] + r[i] - 1, r[i] - 1,
-                                  replace=False, shuffle=False))
-        start = entry[i] - excess[i] - r[i] * (k + 1)
+        r_i, excess_i = int(r[i]), int(excess[i])
+        cuts = sorted(rng.choice(excess_i + r_i - 1, r_i - 1,
+                                 replace=False, shuffle=False).tolist())
+        start = int(entry[i]) - excess_i - r_i * (k + 1)
         # The m-th inner click sits at start + m k + cuts[m - 1] + 1.
-        isolated += np.count_nonzero(cuts + k * np.arange(1, r[i]) < gates - 1 - start)
+        isolated += sum(start + m * k + cut + 1 < gates for m, cut in enumerate(cuts, 1))
     new = np.repeat(end, 1 + (gap > k))  # each run's last click goes before its end
     new[run + np.arange(run.size)] = entry
     return new, isolated
@@ -514,12 +517,12 @@ def run_car(
         )
 
     terms = car_terms(config)
-    pmf = car_slot_pmf(*terms)
-    q_a = pmf[_P10] + pmf[_P11]
-    q_b = pmf[_P01] + pmf[_P11]
-    offsets = np.arange(1, n_offset_slots + 1)
-    expected_acc = float(q_a * q_b * (gates * n_offset_slots - offsets.sum()))
-    needed = math.ceil(100.0 / max(q_a * q_b * n_offset_slots, 1e-300)) + n_offset_slots
+    _, p01, p10, p11 = car_slot_pmf(*terms)
+    q_a, q_b = p10 + p11, p01 + p11
+    k = n_offset_slots
+    pair_slots = k * gates - k * (k + 1) // 2  # gate pairs (g, g + j), j = 1 .. k
+    expected_acc = q_a * q_b * pair_slots
+    needed = math.ceil(100.0 / max(q_a * q_b * k, 1e-300)) + k
     if expected_acc < 100.0:
         raise InsufficientStatisticsError(
             f"expected {expected_acc:.1f} accidental coincidences over "
@@ -528,10 +531,10 @@ def run_car(
         )
 
     base = _as_seedseq(seed)
-    k = n_offset_slots
-    q = 1.0 - pmf[_P00]
+    q = p01 + p10 + p11  # not 1 - P00, which loses digits at low rates
     lam = -math.log1p(-q) if q < 1.0 else math.inf  # q = 1: every gap is 1
-    t_b, t_ab = pmf[_P01] / q, (pmf[_P01] + pmf[_P10]) / q  # B only, A only
+    t_b, t_ab = p01 / q, (p01 + p10) / q  # B only, A only
+    shares = [p01 / q, p10 / q, p11 / q]
     counts = np.zeros(4, dtype=np.int64)
     hist = np.zeros(k, dtype=np.int64)
     # Cluster clicks within reach of the next block, and their patterns.
@@ -541,7 +544,7 @@ def run_car(
         rng = _rng(_child(base, block))
         new, isolated = _cluster_clicks(rng, last, gates, k, q, lam)
         u = rng.random(new.size)
-        counts[_P01:] += rng.multinomial(isolated, pmf[_P01:] / q)
+        counts[_P01:] += rng.multinomial(isolated, shares)
         last, n_new, n_old = int(new[-1]), int(np.searchsorted(new, gates)), pos.size
         pos = np.concatenate((pos, new[:n_new]))
         u = u[:n_new]
@@ -564,7 +567,7 @@ def run_car(
         )
 
     matched_rate = matched / gates
-    accidental_rate = total_unmatched / float((gates - offsets).sum())
+    accidental_rate = total_unmatched / pair_slots
     car = matched_rate / accidental_rate
 
     singles_a, singles_b = int(counts[_P10] + counts[_P11]), int(counts[_P01] + counts[_P11])

@@ -29,7 +29,7 @@ from hombench import (
     visibility_prediction,
 )
 from hombench import exact, fock, simulate
-from hombench.analytics import car_slot_pmf, car_terms
+from hombench.analytics import car_peak_pair_rate, car_slot_pmf, car_terms, invert_car
 from hombench.exact import _pair_arrangements, _pair_pattern_probs
 from hombench.simulate import CarResult, _offset_walk, thread_cap
 
@@ -186,27 +186,39 @@ class TestGatePatternDistribution:
 
     @pytest.mark.parametrize("p", [1e-6, 1e-4, 0.03, 2.0])
     @pytest.mark.parametrize("darks", [False, True])
-    @pytest.mark.parametrize("kappa", [0.0, 1.0])
-    def test_dip_pmf_matches_the_decimal_mixture(self, default_cfg, p, darks, kappa):
+    @pytest.mark.parametrize("rows", ["one by one", "one scan"])
+    def test_dip_pmf_matches_the_decimal_mixture(self, default_cfg, p, darks, rows):
         # Each pattern of the gate pmf from one pair's pattern probabilities,
-        # mixed over Poisson pair numbers with darks in 40-digit decimals.
-        # At low rates P11 is far below the no-click probability, so it
-        # keeps its digits only if it is never a difference from 1.
+        # mixed over Poisson pair numbers with darks in 40-digit decimals,
+        # on a grid of overlaps: a float64 row of four per overlap, whether
+        # built alone or as one scan's array. At low rates P11 is far below
+        # the no-click probability, so it keeps its digits only if it is
+        # never a difference from 1.
         detectors = {} if darks else {
             "detector_a": replace(default_cfg.detector_a, dark_prob_per_gate=0.0),
             "detector_b": replace(default_cfg.detector_b, dark_prob_per_gate=0.0)}
         cfg = replace(default_cfg, source=replace(default_cfg.source, mean_pairs_per_pulse=p),
                       **detectors)
+        kappas = [0.0, 0.3, 0.7, 0.95, 1.0]
+        if rows == "one scan":
+            got = exact._gate_pmfs(cfg, kappas)
+        else:
+            alone = [gate_pattern_distribution(cfg, kappa=kappa) for kappa in kappas]
+            assert all(row.dtype == np.float64 and row.shape == (4,) for row in alone)
+            got = np.array(alone)
+        assert got.dtype == np.float64 and got.shape == (len(kappas), 4)
+        mixed = []
         with decimal.localcontext(prec=40):
-            pi = [decimal.Decimal(v) for v in _pair_pattern_probs(cfg, [kappa])[0].tolist()]
             mean, dark_a, dark_b = (decimal.Decimal(v) for v in (
                 p, cfg.detector_a.dark_prob_per_gate, cfg.detector_b.dark_prob_per_gate))
-            silent_a = (1 - dark_a) * (-mean * (pi[2] + pi[3])).exp()
-            silent_b = (1 - dark_b) * (-mean * (pi[1] + pi[3])).exp()
-            silent = (1 - dark_a) * (1 - dark_b) * (-mean * sum(pi[1:])).exp()
-            mixed = [float(v) for v in (silent, silent_a - silent, silent_b - silent,
-                                        1 - silent_a - silent_b + silent)]
-        np.testing.assert_allclose(gate_pattern_distribution(cfg, kappa=kappa), mixed, rtol=1e-12)
+            for row in _pair_pattern_probs(cfg, kappas).tolist():
+                pi = [decimal.Decimal(v) for v in row]
+                silent_a = (1 - dark_a) * (-mean * (pi[2] + pi[3])).exp()
+                silent_b = (1 - dark_b) * (-mean * (pi[1] + pi[3])).exp()
+                silent = (1 - dark_a) * (1 - dark_b) * (-mean * sum(pi[1:])).exp()
+                mixed.append([float(v) for v in (silent, silent_a - silent, silent_b - silent,
+                                                 1 - silent_a - silent_b + silent)])
+        np.testing.assert_allclose(got, mixed, rtol=1e-12)
 
     @pytest.mark.parametrize("p, gap", [(0.03, 0.0270428), (0.1, 0.0800326)])
     def test_multimode_limit_against_identical_pairs(self, symmetric_cfg, p, gap):
@@ -792,6 +804,19 @@ class TestRunDipScan:
                 run_dip_scan(cfg, [0.0, bad, 1.0], 10**5, seed=1, sampler=sampler)
 
 
+# numpy kernels that the CAR path would page in for scalar work alone.
+_SCALAR_UFUNCS = ("exp", "expm1", "log1p", "maximum", "stack")
+
+
+def _forbid(monkeypatch, *names):
+    """Make each numpy function in `names` raise when called."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy kernel reached")
+
+    for name in names:
+        monkeypatch.setattr(np, name, forbidden)
+
+
 def _bright(cfg):
     """The bright corner of a config: p = 2 and lossless channels."""
     return replace(
@@ -861,6 +886,57 @@ class TestRunCar:
         assert result == replace(
             expected, car=pytest.approx(expected.car, rel=1e-12),
             p_estimate=pytest.approx(expected.p_estimate, rel=1e-12))
+
+    def test_click_probability_keeps_its_digits(self, symmetric_cfg, monkeypatch):
+        # The per-gate click probability q that places the clicks, against
+        # 1 - P00 from a 40-digit mixture over one pair's routed
+        # arrangements, at a rate where 1 - P00 in doubles is off by 4e-9.
+        # 6e17 gates clear the accidentals precheck; the first block stops
+        # the run.
+        cfg = symmetric_cfg(1e-6, 4.356e-3, 0.0, delay_ps=60.0)
+        seen = []
+
+        def record(rng, last, gates, k, q, lam):
+            seen.append(q)
+            raise StopIteration
+
+        monkeypatch.setattr(simulate, "_cluster_clicks", record)
+        with pytest.raises(StopIteration):
+            run_car(cfg, 6 * 10**17, seed=0)
+        p, eta_s, eta_i, _, _, leak = car_terms(cfg)
+        with decimal.localcontext(prec=40):
+            clicks = sum(decimal.Decimal(w) for w, kind in _pair_arrangements(leak, eta_s, eta_i)
+                         if kind != "none")
+            q = float(1 - (-decimal.Decimal(p) * clicks).exp())
+        assert seen == [pytest.approx(q, rel=1e-12, abs=0.0)]
+
+    def test_closed_form_runs_on_floats(self, default_cfg, monkeypatch):
+        # The slot pmf, the CAR, its peak and its inverse call no numpy
+        # kernel on a scalar: each is plain floats.
+        _forbid(monkeypatch, *_SCALAR_UFUNCS)
+        terms = car_terms(replace(default_cfg, delay_ps=10.0 * default_cfg.wavepacket.sigma_ps))
+        pmf = car_slot_pmf(*terms)
+        car = car_prediction(*terms)
+        peak = car_peak_pair_rate(*terms[1:])
+        p = invert_car(car, (pmf[2] + pmf[3]) * (pmf[1] + pmf[3]), *terms[1:])
+        assert [type(v) for v in (*pmf, car, peak, p)] == [float] * 7
+        assert p == pytest.approx(terms[0], rel=1e-9)
+
+    @pytest.mark.parametrize("bright, gates", [(False, 6 * 10**8), (True, 20_000)])
+    def test_run_car_calls_no_scalar_kernel(self, default_cfg, monkeypatch, bright, gates):
+        # car-sparse's and car-bright's configs give the same result with
+        # the scalar ufuncs and numpy's sort refused. The sparse run ends in
+        # a run of long gaps, whose 217 cut points sort as a list.
+        cfg = replace(default_cfg, delay_ps=10.0 * default_cfg.wavepacket.sigma_ps)
+        if bright:
+            cfg = _bright(cfg)
+        expected = run_car(cfg, gates, seed=0)
+        _forbid(monkeypatch, *_SCALAR_UFUNCS, "sort")
+        sorts = []
+        monkeypatch.setattr(simulate, "sorted", lambda cuts: sorts.append(len(cuts))
+                            or sorted(cuts), raising=False)
+        assert run_car(cfg, gates, seed=0) == expected
+        assert sorts == ([] if bright else [217])
 
     def test_requires_off_dip_delay(self, symmetric_cfg):
         cfg = symmetric_cfg(0.03, 0.1, 1e-4)  # delay 0: on the dip
@@ -950,7 +1026,7 @@ class TestRunCar:
         # placement pairs with nothing; the one run across the last gate is
         # placed by its cut points, which decide how many of them count.
         pmf = car_slot_pmf(*car_terms(cfg))
-        q = 1.0 - pmf[0]
+        q = pmf[1] + pmf[2] + pmf[3]  # as run_car sums the click patterns
         base = np.random.SeedSequence(5)
         pos, pat = [], []
         last, block = -1, 0
@@ -980,7 +1056,7 @@ class TestRunCar:
                 cluster.append(last)
             u = rng.random(len(cluster))
             inner = [g for g in inner if g < gates]
-            n_b, n_a, n_ab = rng.multinomial(len(inner), pmf[1:] / q)
+            n_b, n_a, n_ab = rng.multinomial(len(inner), np.divide(pmf[1:], q))
             pos += cluster + inner
             cluster_pat = np.where(u < pmf[1] / q, 1,
                                    np.where(u < (pmf[1] + pmf[2]) / q, 2, 3))
