@@ -1,26 +1,34 @@
 """Closed-form predictions for the two-photon interference benchmark.
 
 Everything here is a pure function without random draws: the Gaussian
-indistinguishability factor, the coincidence-dip lineshape (vectorised
-over delays, as the fitter evaluates it), the visibility noise budget,
-and the exact coincidence-to-accidental ratio (CAR), whose per-slot pmf
-the CAR sampler draws, with its inverse, plus the reductions of an
-`ExperimentConfig` to their inputs. The Monte Carlo engine in `simulate`
-must agree with these formulas; the agreement tests are the core physics
-check of the package.
+indistinguishability factor, the coincidence-dip lineshape, the
+visibility noise budget and its inverse in the efficiency, and the exact
+coincidence-to-accidental ratio (CAR), whose per-slot pmf the CAR
+sampler draws, with its peak and inverse, plus the reductions of an
+`ExperimentConfig` to their inputs. `_search` (a grid, then Brent's
+method) is the package's one scalar minimiser, shared by the CAR peak
+and the dip fit. `simulate`'s Monte Carlo must agree with these formulas;
+the agreement tests are the core physics check of the package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .model import BeamSplitter, ExperimentConfig
 
-# Relative bracket width at which the searches for a parameter stop.
+# Width in log p at which `invert_car`'s bisection stops.
 _RTOL = 1e-12
+# `_search` evaluates a grid, then refines between the grid minimum's
+# neighbours by Brent's method until its bracket is a few _REFINE_RTOL grid
+# steps wide, in at most _MAX_REFINE steps.
+_REFINE_RTOL = 1e-8
+_MAX_REFINE = 100
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 # Mean photons per slot, p min(eta), past which the CAR is 1 to double
 # precision: it exceeds 1 by less than exp(-3/4 p max(eta)) / (q_A q_B).
 _CAR_SATURATED = 100.0
@@ -235,38 +243,74 @@ def car_prediction(
     return p11 / accidental
 
 
+def _search(f: Callable[[float], tuple], grid: list[float]) -> tuple[float, tuple, int, bool]:
+    """Minimize f(x)[0] over [grid[0], grid[-1]]: the best grid point, then
+    Brent's method (golden-section and parabolic steps) between its
+    neighbours. Returns the best x, f(x), the refinement steps taken and
+    whether the bracket shrank to tolerance. A minimum at an end of the
+    grid reports that end; a grid minimum level with both neighbours is
+    not refined. See R. P. Brent, Algorithms for Minimization without
+    Derivatives (1973), ch. 5."""
+    trials = [f(x) for x in grid]
+    j = min(range(len(grid)), key=lambda i: trials[i][0])
+    i, k = max(j - 1, 0), min(j + 1, len(grid) - 1)
+    if trials[i][0] == trials[j][0] == trials[k][0]:
+        return grid[j], trials[j], 0, True  # flat: nothing to refine
+    a, b = grid[i], grid[k]
+    tol = _REFINE_RTOL * (grid[1] - grid[0])
+    x = w = v = grid[j]
+    best = trials[j]
+    fx = fw = fv = best[0]
+    d = e = 0.0
+    for steps in range(_MAX_REFINE):
+        m = 0.5 * (a + b)
+        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
+            return x, best, steps, True
+        # A parabola through x, w and v, if its vertex falls well inside
+        # the bracket and moves less than half the step before last.
+        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+        p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+        p, q = (-p, q) if q > 0.0 else (p, -q)
+        if abs(e) > tol and abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+            e, d = d, p / q
+            if x + d - a < 2.0 * tol or b - x - d < 2.0 * tol:
+                d = tol if x < m else -tol
+        else:
+            e = b - x if x < m else a - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if fu[0] <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx, best = w, fw, x, fx, u, fu[0], fu
+        else:
+            a, b = (a, u) if u >= x else (u, b)
+            if fu[0] <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu[0]
+            elif fu[0] <= fv or v == x or v == w:
+                v, fv = u, fu[0]
+    return x, best, _MAX_REFINE, False
+
+
 def car_peak_pair_rate(
     eta_s: float, eta_i: float, dark_a: float, dark_b: float, leak: float
 ) -> float:
-    """Pair rate of the exact CAR's maximum, by golden section on log p.
+    """Pair rate of the exact CAR's maximum, by `_search` on log p.
 
-    It searches p from 1e-12 / max(eta) to `_CAR_SATURATED` / min(eta). At
-    low rates the peak is near sqrt(dark_a dark_b / (eta_s eta_i)); with a
-    dark-free detector the CAR falls from p -> 0+, and the search returns
-    its low end.
+    It searches p from 1e-12 / max(eta) to `_CAR_SATURATED` / min(eta), on a
+    19-point grid. At low rates the peak is near sqrt(dark_a dark_b /
+    (eta_s eta_i)); with a dark-free detector the CAR falls from p -> 0+,
+    and the search returns its low end.
     """
     if eta_s <= 0.0 or eta_i <= 0.0:
         raise CalibrationError("efficiencies must be > 0 to locate the CAR peak")
-
-    def car_at(log_p: float) -> float:
-        return car_prediction(math.exp(log_p), eta_s, eta_i, dark_a, dark_b, leak)
-
     lo = math.log(1e-12 / max(eta_s, eta_i))
     hi = math.log(_CAR_SATURATED / min(eta_s, eta_i))
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = hi - golden * (hi - lo), lo + golden * (hi - lo)
-    car_c, car_d = car_at(c), car_at(d)
-    # Within a relative width of sqrt(_RTOL) the top is flat to about _RTOL.
-    while hi - lo > math.sqrt(_RTOL):
-        if car_c >= car_d:
-            hi, d, car_d = d, c, car_c
-            c = hi - golden * (hi - lo)
-            car_c = car_at(c)
-        else:
-            lo, c, car_c = c, d, car_d
-            d = lo + golden * (hi - lo)
-            car_d = car_at(d)
-    return math.exp(0.5 * (lo + hi))
+    log_p, _, _, _ = _search(
+        lambda t: (-car_prediction(math.exp(t), eta_s, eta_i, dark_a, dark_b, leak),),
+        [lo + (hi - lo) * j / 18.0 for j in range(19)],
+    )
+    return math.exp(log_p)
 
 
 def invert_car(
@@ -312,24 +356,17 @@ def calibrate_eta(
     dark_prob: float,
     extinction_ratio: float,
 ) -> float:
-    """Efficiency that makes the visibility budget hit `target_v`, by bisection.
+    """Efficiency that makes the visibility budget hit `target_v`, in closed form.
 
-    The budget is monotone increasing in the efficiency whenever the dark
-    term is nonzero (more signal dilutes a fixed noise floor), so bisection
-    over (0, 1] is exact. Raises CalibrationError when the target is above
-    the ceiling at full efficiency, or when dark_prob is zero (the budget
-    is then scale-invariant in the efficiency and has no solution).
+    With a = 1 + 3p + 1/xi and b = 2p + 1/xi the budget is V = 1 - (b eta +
+    4D) / (a eta + 4D), rising in eta when D > 0, so eta = 4DV / ((1 - V) a - b).
+    Raises CalibrationError when the target is above the ceiling at full
+    efficiency, or when dark_prob is zero (the budget is then scale-invariant
+    in the efficiency and has no solution).
     """
     if not (0.0 < target_v < 1.0):
         raise CalibrationError(f"target visibility must be in (0, 1) (got {target_v!r})")
-
-    def v_at(eta: float) -> float:
-        return visibility_prediction(
-            VisibilityBudget(p, eta, dark_prob, extinction_ratio)
-        )
-
-    lo, hi = 0.0, 1.0
-    v_hi = v_at(hi)
+    v_hi = visibility_prediction(VisibilityBudget(p, 1.0, dark_prob, extinction_ratio))
     if target_v > v_hi:
         raise CalibrationError(
             f"target visibility {target_v:g} is above the achievable maximum "
@@ -341,20 +378,9 @@ def calibrate_eta(
         raise CalibrationError(
             "visibility budget is independent of efficiency when dark_prob = 0"
         )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if v_at(mid) < target_v:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < _RTOL * max(hi, 1e-6):
-            break
-    eta = 0.5 * (lo + hi)
-    if abs(v_at(eta) - target_v) > 1e-9:
-        raise CalibrationError(
-            f"bisection failed to reach visibility {target_v:g} (best {v_at(eta):.9g})"
-        )
-    return eta
+    a = 1.0 + 3.0 * p + 1.0 / extinction_ratio
+    b = 2.0 * p + 1.0 / extinction_ratio
+    return 4.0 * dark_prob * target_v / ((1.0 - target_v) * a - b)
 
 
 def budget_from_config(config: ExperimentConfig) -> VisibilityBudget:

@@ -71,9 +71,9 @@ _REQUIRED_KEYS = set(SCHEMA_KEYS) - set(_WIDTH_KEYS)
 def default_eta() -> float:
     """Per-photon detection probability of the calibrated instrument.
 
-    Solved, not hardcoded: the value that puts the analytic visibility at
-    the 0.80 operating point for the default pair rate, mean dark
-    probability, and extinction ratio.
+    Solved, not hardcoded: the closed-form inverse of the visibility
+    budget (`calibrate_eta`) at the 0.80 operating point, for the default
+    pair rate, mean dark probability, and extinction ratio.
     """
     mean_dark = 0.5 * (DEFAULT_DARK_PROB_A + DEFAULT_DARK_PROB_B)
     return calibrate_eta(

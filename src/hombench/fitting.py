@@ -3,11 +3,11 @@
 At a fixed width sigma and center, the lineshape B - C e(delay), with
 e = exp(-(delay - center)^2 / (2 sigma^2)) and C = B f V, is linear in the
 baseline B and the depth C. So `fit_dip` solves for them in closed form
-inside the box (B >= 0, 0 <= V <= 1.02) and searches the width alone: a log
-grid over its box, then Brent's method between the grid minimum's
-neighbours. This is variable projection (Golub & Pereyra, SIAM J. Numer.
-Anal. 10, 413 (1973)). A fitted center adds an outer search of the same
-kind over the scan's delay range, each of its trials a width search.
+inside the box (B >= 0, 0 <= V <= 1.02) and searches the width alone with
+`analytics._search`: a log grid over its box, then Brent's method between
+the grid minimum's neighbours. This is variable projection (Golub &
+Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)). A fitted center adds an
+outer `_search` over the scan's delay range, each trial a width search.
 
 Parameter uncertainties come from the inverse of the weighted
 normal-equations matrix at the optimum, in (baseline, visibility, sigma
@@ -24,22 +24,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .analytics import DipModelParams, splitter_dip_factor
+from .analytics import DipModelParams, _search, splitter_dip_factor
 from .model import BeamSplitter, ScanPoint
 
 
-# Each search evaluates a grid, then refines between the grid minimum's
-# neighbours by Brent's method until its bracket is a few _REFINE_RTOL grid
-# steps wide, in at most _MAX_REFINE steps. The width grid has three points
-# a decade over its box; the center grid spaces a tenth of the delay range.
+# Both searches run `analytics._search`. The width grid has three points a
+# decade over its box; the center grid spaces a tenth of the delay range.
 _CENTER_GRID = 11
-_REFINE_RTOL = 1e-8
-_MAX_REFINE = 100
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -78,55 +73,6 @@ def _covariance_from_normal(a: np.ndarray) -> tuple[np.ndarray, bool]:
     # hypot neither overflows nor raises; an inf or NaN condition fails the test.
     cond = math.hypot(*a.flat) * math.hypot(*inv.flat) * len(a) * np.finfo(float).eps
     return (inv, False) if cond < 1.0 else (np.linalg.pinv(a), True)
-
-
-def _search(f: Callable[[float], tuple], grid: list[float]) -> tuple[float, tuple, int, bool]:
-    """Minimize f(x)[0] over [grid[0], grid[-1]]: the best grid point, then
-    Brent's method (golden-section and parabolic steps) between its
-    neighbours. Returns the best x, f(x), the refinement steps taken and
-    whether the bracket shrank to tolerance. A minimum at an end of the
-    grid reports that end; a grid minimum level with both neighbours is
-    not refined. See R. P. Brent, Algorithms for Minimization without
-    Derivatives (1973), ch. 5."""
-    trials = [f(x) for x in grid]
-    j = min(range(len(grid)), key=lambda i: trials[i][0])
-    i, k = max(j - 1, 0), min(j + 1, len(grid) - 1)
-    if trials[i][0] == trials[j][0] == trials[k][0]:
-        return grid[j], trials[j], 0, True  # flat: nothing to refine
-    a, b = grid[i], grid[k]
-    tol = _REFINE_RTOL * (grid[1] - grid[0])
-    x = w = v = grid[j]
-    best = trials[j]
-    fx = fw = fv = best[0]
-    d = e = 0.0
-    for steps in range(_MAX_REFINE):
-        m = 0.5 * (a + b)
-        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
-            return x, best, steps, True
-        # A parabola through x, w and v, if its vertex falls well inside
-        # the bracket and moves less than half the step before last.
-        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
-        p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
-        p, q = (-p, q) if q > 0.0 else (p, -q)
-        if abs(e) > tol and abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
-            e, d = d, p / q
-            if x + d - a < 2.0 * tol or b - x - d < 2.0 * tol:
-                d = tol if x < m else -tol
-        else:
-            e = b - x if x < m else a - x
-            d = _GOLDEN * e
-        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
-        fu = f(u)
-        if fu[0] <= fx:
-            a, b = (x, b) if u >= x else (a, x)
-            v, fv, w, fw, x, fx, best = w, fw, x, fx, u, fu[0], fu
-        else:
-            a, b = (a, u) if u >= x else (u, b)
-            if fu[0] <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu[0]
-            elif fu[0] <= fv or v == x or v == w:
-                v, fv = u, fu[0]
-    return x, best, _MAX_REFINE, False
 
 
 @dataclass

@@ -602,7 +602,6 @@ def run_visibility_sweep(
     and for overlay the closed-form visibility budget and the exact
     model's visibility.
     """
-    validate(config)
     if not p_values:
         raise ValueError("p_values must be non-empty")
     if delays is None:
@@ -610,9 +609,9 @@ def run_visibility_sweep(
     base = _as_seedseq(seed)
     rows: list[SweepRow] = []
     for j, p in enumerate(p_values):
-        cfg = replace(
+        cfg = validate(replace(
             config, source=replace(config.source, mean_pairs_per_pulse=float(p))
-        )
+        ))
         predicted = visibility_prediction(budget_from_config(cfg)), exact_visibility(cfg)
         points = run_dip_scan(
             cfg, delays, gates_per_point, _child(base, j), sampler=sampler

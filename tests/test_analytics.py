@@ -22,10 +22,57 @@ from hombench import (
     splitter_dip_factor,
     visibility_prediction,
 )
-from hombench.analytics import car_peak_pair_rate, car_slot_pmf, car_terms, dip_curve
+from hombench.analytics import (
+    _CAR_SATURATED,
+    car_peak_pair_rate,
+    car_slot_pmf,
+    car_terms,
+    dip_curve,
+)
 
 REFERENCE_SPLITTER = BeamSplitter.from_db(-3.3, -3.6)
 REFERENCE_FACTOR = splitter_dip_factor(REFERENCE_SPLITTER)
+
+
+def bisection_eta(target_v, p, dark_prob, extinction_ratio):
+    """Oracle: the bisection `calibrate_eta` ran before its closed form.
+    Returns its final bracket (lo, hi) on the efficiency."""
+    def v_at(eta):
+        return visibility_prediction(VisibilityBudget(p, eta, dark_prob, extinction_ratio))
+
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if v_at(mid) < target_v:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-12 * max(hi, 1e-6):
+            break
+    return lo, hi
+
+
+def golden_car_peak(eta_s, eta_i, dark_a, dark_b, leak):
+    """Oracle: the golden-section search on log p that `car_peak_pair_rate`
+    ran before it took the package's grid-and-Brent minimiser."""
+    def car_at(log_p):
+        return car_prediction(math.exp(log_p), eta_s, eta_i, dark_a, dark_b, leak)
+
+    lo = math.log(1e-12 / max(eta_s, eta_i))
+    hi = math.log(_CAR_SATURATED / min(eta_s, eta_i))
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - golden * (hi - lo), lo + golden * (hi - lo)
+    car_c, car_d = car_at(c), car_at(d)
+    while hi - lo > 1e-6:
+        if car_c >= car_d:
+            hi, d, car_d = d, c, car_c
+            c = hi - golden * (hi - lo)
+            car_c = car_at(c)
+        else:
+            lo, c, car_c = c, d, car_d
+            d = lo + golden * (hi - lo)
+            car_d = car_at(d)
+    return math.exp(0.5 * (lo + hi))
 
 
 class TestIndistinguishability:
@@ -166,6 +213,26 @@ class TestCalibration:
         with pytest.raises(CalibrationError):
             calibrate_eta(1.0, 0.03, 2.14e-4, 1000.0)
 
+    @pytest.mark.parametrize("p", [0.0, 0.005, 0.03, 0.3])
+    @pytest.mark.parametrize("dark", [1e-8, 2.14e-4, 1e-2])
+    @pytest.mark.parametrize("xi", [10.0, 1e3, 1e5])
+    def test_closed_form_meets_the_target_and_the_bisection(self, p, dark, xi):
+        # The budget is 1 - a ratio, so it is known to about ulp(1). The
+        # oracle's bracket is compared at that resolution too: it is widened
+        # by the change in eta that moves V by 2 ulp(1), which near the
+        # ceiling at a small dark term is far wider than the bracket.
+        eps = math.ulp(1.0)
+        a, b = 1.0 + 3.0 * p + 1.0 / xi, 2.0 * p + 1.0 / xi
+        ceiling = visibility_prediction(VisibilityBudget(p, 1.0, dark, xi))
+        for fraction in (1e-3, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-9, 1.0):
+            target = fraction * ceiling
+            eta = calibrate_eta(target, p, dark, xi)
+            achieved = visibility_prediction(VisibilityBudget(p, eta, dark, xi))
+            assert abs(achieved - target) <= 2.0 * eps, fraction
+            lo, hi = bisection_eta(target, p, dark, xi)
+            slack = 2.0 * eps * (a * eta + 4.0 * dark) ** 2 / (4.0 * dark * (a - b))
+            assert lo - slack <= eta <= hi + slack, fraction
+
 
 class TestCar:
     def test_source_off_gives_unity(self):
@@ -219,6 +286,26 @@ class TestCar:
         top = car_prediction(peak, *terms)
         for p in peak * np.array([1e-3, 0.5, 0.99, 0.999, 1.001, 1.01, 2.0, 1e3]):
             assert car_prediction(p, *terms) < top
+
+    @pytest.mark.parametrize(
+        "case", ["reference", "car-bright", "one dark-free", "both dark-free", "eta 1e-6"]
+    )
+    def test_peak_meets_the_golden_section_oracle(self, default_cfg, case):
+        _, eta_s, eta_i, dark_a, dark_b, leak = car_terms(default_cfg)
+        terms = {
+            "reference": (eta_s, eta_i, dark_a, dark_b, leak),
+            "car-bright": (1.0, 1.0, dark_a, dark_b, leak),
+            "one dark-free": (eta_s, eta_i, 0.0, dark_b, leak),
+            "both dark-free": (eta_s, eta_i, 0.0, 0.0, leak),
+            "eta 1e-6": (1e-6, 1e-6, dark_a, dark_b, leak),
+        }[case]
+        peak, oracle = car_peak_pair_rate(*terms), golden_car_peak(*terms)
+        top = car_prediction(peak, *terms)
+        assert top >= car_prediction(oracle, *terms) * (1.0 - 1e-12)
+        assert abs(math.log(peak / oracle)) <= 1e-5
+        if case == "both dark-free":  # the CAR grows without bound as p -> 0+
+            low_end = math.log(1e-12 / max(terms[0], terms[1]))
+            assert math.log(peak) == pytest.approx(low_end, abs=1e-6)
 
     @staticmethod
     def singles(p, *terms):

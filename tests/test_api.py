@@ -224,7 +224,8 @@ def test_per_gate_scan_imports_neither_thread_pool_nor_logging():
 
 def test_fitted_runs_page_in_no_openblas(tmp_path):
     # A fit solves for 3 or 4 unknowns by elimination in Python: only a
-    # degenerate fit's pseudo-inverse may call BLAS or LAPACK.
+    # degenerate fit's pseudo-inverse may call BLAS or LAPACK. A fitted
+    # center nests one `_search` in another.
     if not Path("/proc/self/smaps").exists():
         pytest.skip("no /proc/self/smaps")
     code = (
@@ -239,11 +240,13 @@ def test_fitted_runs_page_in_no_openblas(tmp_path):
         "        elif blas and field[0] == 'Rss:':\n"
         "            total += int(field[1])\n"
         "    return total\n"
-        f"a, b = {str(tmp_path / 'a')!r}, {str(tmp_path / 'b')!r}\n"
+        f"a, b, c = {str(tmp_path / 'a')!r}, {str(tmp_path / 'b')!r}, {str(tmp_path / 'c')!r}\n"
         "before = rss()\n"
         "codes = [cli.main(['dip-scan', '--eta', '0.2', '--gates', '2e5', '--out', a]),\n"
         "         cli.main(['visibility-sweep', '--pairs', '0.03,0.1', '--gates', '1e9',\n"
-        "                   '--out', b])]\n"
+        "                   '--out', b]),\n"
+        "         cli.main(['dip-scan', '--eta', '0.2', '--gates', '2e5', '--fit-center',\n"
+        "                   '--out', c])]\n"
         "print(json.dumps([before, rss(), codes]))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -251,10 +254,12 @@ def test_fitted_runs_page_in_no_openblas(tmp_path):
     before, after, codes = json.loads(out.stdout.splitlines()[-1])
     if before == 0:
         pytest.skip("numpy maps no OpenBLAS library here")
-    assert codes == [0, 0]
+    assert codes == [0, 0, 0]
     assert json.loads((tmp_path / "a" / "report.json").read_text())["data"]["fit"]
     rows = json.loads((tmp_path / "b" / "report.json").read_text())["data"]["rows"]
     assert all(row["fit"] for row in rows)
+    fit = json.loads((tmp_path / "c" / "report.json").read_text())["data"]["fit"]
+    assert fit["center_ps"] is not None and not fit["degenerate"]
     assert after == before
 
 

@@ -517,6 +517,16 @@ class TestVisibilitySweep:
             "sigma (300 ps); widen the scan"
         )
 
+    @pytest.mark.parametrize("pairs", ["-0.1", "nan"])
+    def test_bad_pair_rate_is_a_field_level_config_error(self, tmp_path, pairs):
+        proc = run_cli("visibility-sweep", "--pairs", pairs, "--gates", "1e3",
+                       "--out", str(tmp_path / "run"))
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "config error: source.mean_pairs_per_pulse: must be finite and >= 0 "
+            f"(got {pairs})\n"
+        )
+
     def test_empty_pair_list_is_a_usage_error(self):
         proc = run_cli("visibility-sweep", "--pairs", "")
         assert proc.returncode == 1

@@ -1178,6 +1178,12 @@ class TestRunVisibilitySweep:
         bound = max(0.02, 3.0 * row.fit.visibility_error)
         assert abs(row.fit.params.visibility - row.predicted_visibility) < bound
 
+    def test_bad_pair_rate_is_a_config_error(self, symmetric_cfg):
+        # Each row's config is validated before its budget is computed,
+        # whose own range check would otherwise raise first.
+        with pytest.raises(ConfigError, match="source.mean_pairs_per_pulse"):
+            run_visibility_sweep(symmetric_cfg(0.03, 0.2, 1e-4), [-0.1], 1000, seed=0)
+
     def test_empty_pair_list_rejected(self, symmetric_cfg):
         with pytest.raises(ValueError):
             run_visibility_sweep(symmetric_cfg(0.03, 0.2, 1e-4), [], 1000, seed=0)
